@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import Polynomial
-from scipy.interpolate import BarycentricInterpolator
 from scipy.optimize import brentq
 
 from .errors import (
@@ -19,9 +18,9 @@ from .errors import (
     QuadratureNonConvergence,
     RootBracketingFailed,
 )
-from .kernels import BernoulliKernel
+from .kernels import BernoulliKernel, _gl_nodes, _segment_boundaries
 from .measures import MixingMeasure
-from .products import _gl_nodes, estimate_divergence
+from .products import estimate_divergence
 
 RANK_TOL_FACTOR = 1e-12
 NULLSPACE_RESIDUAL_TOL = 1e-8
@@ -222,7 +221,16 @@ def bernoulli_nonidentifiable_witness(G, a):
     vals[k] = -1.0 / y[k - 1]
     if not np.all(np.isfinite(vals)):
         raise RootBracketingFailed("interpolation values are not finite")
-    poly = BarycentricInterpolator(nodes, vals)
+    gaps = nodes[:, None] - nodes[None, :]
+    np.fill_diagonal(gaps, 1.0)
+    bary = 1.0 / gaps.prod(axis=1)
+
+    def poly(x):
+        d = x - nodes
+        if np.any(d == 0):
+            return float(vals[d == 0][0])
+        c = bary / d
+        return float(c @ vals / c.sum())
 
     roots = np.empty(k)
     lows = nodes[:-1]
@@ -235,7 +243,7 @@ def bernoulli_nonidentifiable_witness(G, a):
             )
         try:
             roots[i] = brentq(
-                lambda x: float(poly(x)),
+                poly,
                 lows[i],
                 highs[i],
                 xtol=ROOT_XTOL,
@@ -290,29 +298,6 @@ def bernoulli_nonidentifiable_witness(G, a):
     )
 
 
-def _atoms_array(kernel, atoms):
-    arr = np.atleast_2d(np.asarray(atoms, dtype=float))
-    if arr.shape[1] != kernel.q:
-        raise InvalidParameter(
-            f"atoms must have {kernel.q} coordinates for {kernel.name}"
-        )
-    for row in arr:
-        kernel.check_theta(row)
-    return arr
-
-
-def _segment_boundaries(kernel, atoms):
-    los, his, cuts = [], [], set()
-    for th in atoms:
-        lo, hi = kernel.tail_bounds(th, GRID_TAIL_EPS)
-        los.append(lo)
-        his.append(hi)
-        cuts.update(kernel.breakpoints(th))
-    lo, hi = min(los), max(his)
-    inner = sorted(c for c in cuts if lo < c < hi)
-    return [lo] + inner + [hi]
-
-
 def _explicit_grid(grid_spec, need_weights):
     points = np.atleast_1d(np.asarray(grid_spec["points"], dtype=float))
     if points.ndim != 1 or points.size == 0 or not np.all(np.isfinite(points)):
@@ -328,15 +313,10 @@ def _explicit_grid(grid_spec, need_weights):
 
 
 def _feature_matrix(kernel, atoms, points):
-    columns = []
-    for th in atoms:
-        columns.append(np.asarray(kernel.density(points, th), dtype=float))
-        grads = np.empty((points.size, kernel.q))
-        for i, x in enumerate(points):
-            grads[i] = kernel.grad_density(x, th)
-        for c in range(kernel.q):
-            columns.append(grads[:, c])
-    return np.column_stack(columns)
+    """Columns per atom: the density, then its q parameter gradients."""
+    dens = kernel.density(points, atoms)[:, None, :]
+    grads = kernel.grad_density(points, atoms)
+    return np.concatenate([dens, grads], axis=1).reshape(-1, points.size).T
 
 
 def _gram_eigenvalue(kernel, atoms, points, weights):
@@ -359,7 +339,7 @@ def first_order_gram(kernel, atoms, grid_spec="auto"):
     grid enumerates the support for binary kernels and lays Gauss-Legendre
     panels over tail-truncated segments for continuous ones, doubling panel
     counts until the eigenvalue stabilizes within 1%."""
-    atoms = _atoms_array(kernel, atoms)
+    atoms = kernel.check_theta(np.atleast_2d(atoms))
     if isinstance(grid_spec, dict):
         points, weights = _explicit_grid(grid_spec, need_weights=True)
         return _gram_eigenvalue(kernel, atoms, points, weights)
@@ -368,7 +348,7 @@ def first_order_gram(kernel, atoms, grid_spec="auto"):
     if kernel.data_space == "binary":
         points = np.array([0.0, 1.0])
         return _gram_eigenvalue(kernel, atoms, points, np.ones(2))
-    bounds = _segment_boundaries(kernel, atoms)
+    bounds = _segment_boundaries(kernel, atoms, GRID_TAIL_EPS)
     panels = GRAM_BASE_PANELS
     previous = None
     for _ in range(GRAM_MAX_DOUBLINGS + 1):
@@ -409,7 +389,7 @@ def degenerate_direction_check(kernel, G0, direction, grid="auto"):
 
     Near-zero output certifies the direction as a first-order degeneracy of
     the atom set; a generic direction yields an order-one value."""
-    atoms = _atoms_array(kernel, G0.atoms)
+    atoms = kernel.check_theta(G0.atoms)
     a, b = _parse_direction(kernel, atoms.shape[0], direction)
     if isinstance(grid, dict):
         points, _ = _explicit_grid(grid, need_weights=False)
@@ -417,19 +397,14 @@ def degenerate_direction_check(kernel, G0, direction, grid="auto"):
         if kernel.data_space == "binary":
             points = np.array([0.0, 1.0])
         else:
-            bounds = _segment_boundaries(kernel, atoms)
+            bounds = _segment_boundaries(kernel, atoms, GRID_TAIL_EPS)
             points, _ = _gl_nodes(bounds, CHECK_PANELS, CHECK_ORDER)
     else:
         raise InvalidParameter("grid must be 'auto' or a points dict")
-    residual = np.zeros(points.size)
-    density_sum = np.zeros(points.size)
-    for i, th in enumerate(atoms):
-        dens = np.asarray(kernel.density(points, th), dtype=float)
-        density_sum += dens
-        residual += b[i] * dens
-        for j, x in enumerate(points):
-            residual[j] += a[i] @ kernel.grad_density(x, th)
-    density_scale = float(density_sum.max())
+    dens = kernel.density(points, atoms)
+    grads = kernel.grad_density(points, atoms)
+    residual = b @ dens + np.einsum("iq,iqn->n", a, grads)
+    density_scale = float(dens.sum(axis=0).max())
     direction_scale = float(
         (np.linalg.norm(a, axis=1) + np.abs(b)).sum()
     )

@@ -7,9 +7,10 @@ polynomial moment maps with closed-form Jacobian determinants.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 from scipy.integrate import quad
 from scipy.special import (
     betaln,
@@ -17,7 +18,6 @@ from scipy.special import (
     erf,
     gammaincinv,
     gammaln,
-    logsumexp,
     ndtri as norm_ppf,
 )
 
@@ -38,13 +38,12 @@ FD_STEP = 1e-6
 @dataclass(frozen=True)
 class ExpFamilySpec:
     """Exponential-family structure: sufficient statistic, log-partition,
-    carrier, and the parameter-to-natural-parameter map with its Jacobian."""
+    carrier, and the parameter-to-natural-parameter map."""
 
     stat: object
     log_partition: object
     log_carrier: object
     natural: object
-    natural_jacobian: object
     in_natural_space: object
 
     def log_density(self, x, theta):
@@ -71,6 +70,42 @@ class MomentMapReport:
             )
 
 
+def logsumexp(a, axis=-1):
+    """log(sum(exp(a))) along an axis; -inf where every term is -inf."""
+    mx = np.max(a, axis=axis, keepdims=True)
+    mx = np.where(np.isfinite(mx), mx, 0.0)
+    with np.errstate(divide="ignore"):
+        return np.squeeze(mx, axis=axis) + np.log(np.exp(a - mx).sum(axis=axis))
+
+
+def _value(out):
+    return out if np.ndim(out) else float(out)
+
+
+def _stack_gradient(x, coords, parts):
+    """Per-coordinate gradients stacked as atoms.shape[:-1] + (q,) + x.shape."""
+    axis = coords[0].ndim - x.ndim
+    shape = coords[0].shape[:axis] + x.shape
+    return np.stack([np.broadcast_to(p, shape) for p in parts], axis=axis)
+
+
+def _central_difference(fun, theta):
+    """Central differences of fun in each coordinate of atoms of shape
+    (..., q), stacked as theta.shape[:-1] + (q,) + the rest of fun's shape."""
+    theta = np.asarray(theta, dtype=float)
+    batch = theta.ndim - 1
+    columns = []
+    for i in range(theta.shape[-1]):
+        h = FD_STEP * np.maximum(1.0, np.abs(theta[..., i]))
+        up = theta.copy()
+        dn = theta.copy()
+        up[..., i] += h
+        dn[..., i] -= h
+        diff = np.asarray(fun(up) - fun(dn))
+        columns.append(diff / (2 * h.reshape(h.shape + (1,) * (diff.ndim - batch))))
+    return np.stack(columns, axis=batch)
+
+
 class KernelFamily:
     """Base class: a parametric family of probability densities on a data space.
 
@@ -78,26 +113,45 @@ class KernelFamily:
     or "unit_interval"), log densities, samplers, and where available
     analytic gradients, closed-form divergences, and exponential-family
     structure.
+
+    ``log_density``, ``density`` and ``grad_density`` broadcast: atoms of
+    shape (..., q) against points of any shape give
+    ``atoms.shape[:-1] + x.shape`` (gradients ``atoms.shape[:-1] + (q,) +
+    x.shape``), and each call validates all its atoms once. ``sample``
+    takes a single atom.
     """
 
     name = "abstract"
     q = 0
     data_space = "real"
     expfam = None
-    has_analytic_gradient = False
 
     def in_box(self, theta):
+        """Boolean array over theta.shape[:-1]: which atoms lie in the box."""
         raise NotImplementedError
 
     def check_theta(self, theta):
         theta = np.atleast_1d(np.asarray(theta, dtype=float))
-        if theta.shape != (self.q,):
+        if theta.shape[-1] != self.q:
             raise InvalidParameter(
                 f"{self.name}: parameter must have dimension {self.q}"
             )
-        if not self.in_box(theta):
-            raise InvalidParameter(f"{self.name}: parameter {theta} outside box")
+        inside = np.asarray(self.in_box(theta))
+        if not inside.all():
+            bad = theta.reshape(-1, self.q)[~inside.reshape(-1)][0]
+            raise InvalidParameter(f"{self.name}: parameter {bad} outside box")
         return theta
+
+    def _coords(self, x, theta, check=True):
+        """Points as an array and the atom coordinates, each shaped
+        atoms.shape[:-1] + (1,) * x.ndim to broadcast against the points."""
+        if check:
+            theta = self.check_theta(theta)
+        else:
+            theta = np.atleast_1d(np.asarray(theta, dtype=float))
+        x = np.asarray(x, dtype=float)
+        shape = theta.shape[:-1] + (1,) * x.ndim
+        return x, [theta[..., i].reshape(shape) for i in range(self.q)]
 
     def log_density(self, x, theta):
         raise NotImplementedError
@@ -134,20 +188,8 @@ class KernelFamily:
 
     def grad_density(self, x, theta):
         """Gradient of the density in the parameter, analytic if available."""
-        return _fd_grad_density(self, x, theta)
-
-
-def _fd_grad_density(kernel, x, theta):
-    theta = kernel.check_theta(theta)
-    grad = np.empty(kernel.q)
-    for i in range(kernel.q):
-        h = FD_STEP * max(1.0, abs(theta[i]))
-        up = theta.copy()
-        dn = theta.copy()
-        up[i] += h
-        dn[i] -= h
-        grad[i] = (kernel.density(x, up) - kernel.density(x, dn)) / (2 * h)
-    return grad
+        theta = self.check_theta(theta)
+        return _central_difference(lambda t: self.density(x, t), theta)
 
 
 class BernoulliKernel(KernelFamily):
@@ -156,7 +198,6 @@ class BernoulliKernel(KernelFamily):
     name = "bernoulli"
     q = 1
     data_space = "binary"
-    has_analytic_gradient = True
 
     def __init__(self):
         self.expfam = ExpFamilySpec(
@@ -166,17 +207,15 @@ class BernoulliKernel(KernelFamily):
             natural=lambda th: np.array(
                 [math.log(th[0]) - math.log1p(-th[0])]
             ),
-            natural_jacobian=lambda th: np.array([[1.0 / (th[0] * (1 - th[0]))]]),
             in_natural_space=lambda eta: np.all(np.isfinite(eta)),
         )
 
     def in_box(self, theta):
-        return 0.0 < theta[0] < 1.0
+        return (0.0 < theta[..., 0]) & (theta[..., 0] < 1.0)
 
     def log_density(self, x, theta):
-        theta = self.check_theta(theta)
-        x = np.asarray(x, dtype=float)
-        return x * math.log(theta[0]) + (1 - x) * math.log1p(-theta[0])
+        x, (t,) = self._coords(x, theta)
+        return _value(x * np.log(t) + (1 - x) * np.log1p(-t))
 
     def sample(self, theta, count, rng):
         theta = self.check_theta(theta)
@@ -189,8 +228,8 @@ class BernoulliKernel(KernelFamily):
         return float(theta[0])
 
     def grad_density(self, x, theta):
-        self.check_theta(theta)
-        return np.atleast_1d(2.0 * float(x) - 1.0)
+        x, coords = self._coords(x, theta)
+        return _stack_gradient(x, coords, [2.0 * x - 1.0])
 
     def closed_divergence(self, which, theta1, theta2):
         t1 = float(self.check_theta(theta1)[0])
@@ -211,7 +250,6 @@ class GaussianLocationKernel(KernelFamily):
     name = "gaussian_location"
     q = 1
     data_space = "real"
-    has_analytic_gradient = True
 
     def __init__(self, sigma=1.0):
         if sigma <= 0:
@@ -224,18 +262,16 @@ class GaussianLocationKernel(KernelFamily):
             log_carrier=lambda x: -0.5 * float(x) ** 2 / s2
             - 0.5 * math.log(2 * math.pi * s2),
             natural=lambda th: np.array([th[0] / s2]),
-            natural_jacobian=lambda th: np.array([[1.0 / s2]]),
             in_natural_space=lambda eta: np.all(np.isfinite(eta)),
         )
 
     def in_box(self, theta):
-        return bool(np.isfinite(theta[0]))
+        return np.isfinite(theta[..., 0])
 
     def log_density(self, x, theta):
-        theta = self.check_theta(theta)
-        x = np.asarray(x, dtype=float)
-        z = (x - theta[0]) / self.sigma
-        return -0.5 * z**2 - math.log(self.sigma * math.sqrt(2 * math.pi))
+        x, (mu,) = self._coords(x, theta)
+        z = (x - mu) / self.sigma
+        return _value(-0.5 * z**2 - math.log(self.sigma * math.sqrt(2 * math.pi)))
 
     def sample(self, theta, count, rng):
         theta = self.check_theta(theta)
@@ -250,14 +286,12 @@ class GaussianLocationKernel(KernelFamily):
         return (theta[0] - z * self.sigma, theta[0] + z * self.sigma)
 
     def grad_density(self, x, theta):
-        theta = self.check_theta(theta)
         f = self.density(x, theta)
-        return np.atleast_1d(f * (float(x) - theta[0]) / self.sigma**2)
+        x, coords = self._coords(x, theta, check=False)
+        return _stack_gradient(x, coords, [f * (x - coords[0]) / self.sigma**2])
 
     def closed_divergence(self, which, theta1, theta2):
-        d = abs(float(theta1) - float(theta2)) if np.isscalar(theta1) else abs(
-            float(np.atleast_1d(theta1)[0]) - float(np.atleast_1d(theta2)[0])
-        )
+        d = abs(float(np.atleast_1d(theta1)[0]) - float(np.atleast_1d(theta2)[0]))
         s = self.sigma
         if which == "tv":
             return float(erf(d / (2 * math.sqrt(2) * s)))
@@ -275,7 +309,6 @@ class GammaKernel(KernelFamily):
     name = "gamma"
     q = 2
     data_space = "real"
-    has_analytic_gradient = True
 
     def __init__(self, normalized=True):
         self.normalized = bool(normalized)
@@ -287,28 +320,25 @@ class GammaKernel(KernelFamily):
                 ),
                 log_carrier=lambda x: 0.0 if x > 0 else -np.inf,
                 natural=lambda th: np.array([th[0] - 1.0, th[1]]),
-                natural_jacobian=lambda th: np.eye(2),
                 in_natural_space=lambda eta: eta[0] > -1.0 and eta[1] > 0.0,
             )
 
     def in_box(self, theta):
-        return theta[0] > 0.0 and theta[1] > 0.0
+        return (theta[..., 0] > 0.0) & (theta[..., 1] > 0.0)
 
     def log_density(self, x, theta):
-        theta = self.check_theta(theta)
-        alpha, beta = theta
-        x = np.asarray(x, dtype=float)
+        x, (alpha, beta) = self._coords(x, theta)
         with np.errstate(divide="ignore", invalid="ignore"):
             out = np.where(
                 x > 0,
-                alpha * math.log(beta)
+                alpha * np.log(beta)
                 + (alpha - 1.0) * np.log(np.where(x > 0, x, 1.0))
                 - beta * x,
                 -np.inf,
             )
         if self.normalized:
             out = out - gammaln(alpha)
-        return out if out.shape else float(out)
+        return _value(out)
 
     def sample(self, theta, count, rng):
         theta = self.check_theta(theta)
@@ -332,18 +362,15 @@ class GammaKernel(KernelFamily):
         )
 
     def grad_density(self, x, theta):
-        theta = self.check_theta(theta)
-        alpha, beta = theta
-        x = float(x)
-        if x <= 0:
-            if x == 0:
-                raise NonDifferentiablePoint("gamma density boundary at x = 0")
-            return np.zeros(2)
         f = self.density(x, theta)
-        dalpha = math.log(beta) + math.log(x)
+        x, coords = self._coords(x, theta, check=False)
+        alpha, beta = coords
+        if np.any(x == 0):
+            raise NonDifferentiablePoint("gamma density boundary at x = 0")
+        dalpha = np.log(beta) + np.log(np.where(x > 0, x, 1.0))
         if self.normalized:
-            dalpha -= digamma(alpha)
-        return np.array([f * dalpha, f * (alpha / beta - x)])
+            dalpha = dalpha - digamma(alpha)
+        return _stack_gradient(x, coords, [f * dalpha, f * (alpha / beta - x)])
 
     def closed_divergence(self, which, theta1, theta2):
         if not self.normalized:
@@ -371,18 +398,13 @@ class UniformKernel(KernelFamily):
     name = "uniform"
     q = 1
     data_space = "real"
-    has_analytic_gradient = True
 
     def in_box(self, theta):
-        return theta[0] > 0.0
+        return theta[..., 0] > 0.0
 
     def log_density(self, x, theta):
-        theta = self.check_theta(theta)
-        x = np.asarray(x, dtype=float)
-        out = np.where(
-            (x > 0) & (x < theta[0]), -math.log(theta[0]), -np.inf
-        )
-        return out if out.shape else float(out)
+        x, (t,) = self._coords(x, theta)
+        return _value(np.where((x > 0) & (x < t), -np.log(t), -np.inf))
 
     def sample(self, theta, count, rng):
         theta = self.check_theta(theta)
@@ -398,14 +420,13 @@ class UniformKernel(KernelFamily):
         return float(np.atleast_1d(theta)[0]) / 2.0
 
     def grad_density(self, x, theta):
-        theta = self.check_theta(theta)
-        t = theta[0]
-        x = float(x)
-        if abs(x - t) < 1e-12 * max(1.0, t) or x == 0.0:
+        x, coords = self._coords(x, theta)
+        t = coords[0]
+        if np.any((np.abs(x - t) < 1e-12 * np.maximum(1.0, t)) | (x == 0.0)):
             raise NonDifferentiablePoint("uniform density boundary")
-        if 0.0 < x < t:
-            return np.atleast_1d(-1.0 / t**2)
-        return np.atleast_1d(0.0)
+        return _stack_gradient(
+            x, coords, [np.where((0.0 < x) & (x < t), -1.0 / t**2, 0.0)]
+        )
 
     def closed_divergence(self, which, theta1, theta2):
         a = float(np.atleast_1d(theta1)[0])
@@ -426,17 +447,13 @@ class LocScaleExponentialKernel(KernelFamily):
     name = "locscale_exponential"
     q = 2
     data_space = "real"
-    has_analytic_gradient = True
 
     def in_box(self, theta):
-        return bool(np.isfinite(theta[0])) and theta[1] > 0.0
+        return np.isfinite(theta[..., 0]) & (theta[..., 1] > 0.0)
 
     def log_density(self, x, theta):
-        theta = self.check_theta(theta)
-        xi, sigma = theta
-        x = np.asarray(x, dtype=float)
-        out = np.where(x > xi, -(x - xi) / sigma - math.log(sigma), -np.inf)
-        return out if out.shape else float(out)
+        x, (xi, sigma) = self._coords(x, theta)
+        return _value(np.where(x > xi, -(x - xi) / sigma - np.log(sigma), -np.inf))
 
     def sample(self, theta, count, rng):
         theta = self.check_theta(theta)
@@ -457,15 +474,15 @@ class LocScaleExponentialKernel(KernelFamily):
         return (xi, xi - sigma * math.log(eps))
 
     def grad_density(self, x, theta):
-        theta = self.check_theta(theta)
-        xi, sigma = theta
-        x = float(x)
-        if abs(x - xi) < 1e-12 * max(1.0, abs(xi), sigma):
-            raise NonDifferentiablePoint("support boundary of the shifted exponential")
-        if x < xi:
-            return np.zeros(2)
         f = self.density(x, theta)
-        return np.array([f / sigma, f * ((x - xi) / sigma**2 - 1.0 / sigma)])
+        x, coords = self._coords(x, theta, check=False)
+        xi, sigma = coords
+        scale = np.maximum(np.maximum(1.0, np.abs(xi)), sigma)
+        if np.any(np.abs(x - xi) < 1e-12 * scale):
+            raise NonDifferentiablePoint("support boundary of the shifted exponential")
+        return _stack_gradient(
+            x, coords, [f / sigma, f * ((x - xi) / sigma**2 - 1.0 / sigma)]
+        )
 
 
 def _double_factorial_odd(n):
@@ -509,26 +526,27 @@ class GaussianLocationMixtureKernel(KernelFamily):
 
     def split(self, theta):
         theta = self.check_theta(theta)
-        pis = np.empty(self.k)
-        pis[: self.k - 1] = theta[: self.k - 1]
-        pis[self.k - 1] = 1.0 - theta[: self.k - 1].sum()
-        mus = theta[self.k - 1 :]
-        return pis, mus
+        head = theta[..., : self.k - 1]
+        pis = np.concatenate([head, 1.0 - head.sum(axis=-1, keepdims=True)], axis=-1)
+        return pis, theta[..., self.k - 1 :]
 
     def in_box(self, theta):
-        pis = theta[: self.k - 1]
-        mus = theta[self.k - 1 :]
-        if np.any(pis <= 0) or pis.sum() >= 1.0:
-            return False
-        return bool(np.all(np.diff(mus) > 0)) and bool(np.all(np.isfinite(mus)))
+        pis = theta[..., : self.k - 1]
+        mus = theta[..., self.k - 1 :]
+        return (
+            np.all(pis > 0, axis=-1)
+            & (pis.sum(axis=-1) < 1.0)
+            & np.all(np.diff(mus, axis=-1) > 0, axis=-1)
+            & np.all(np.isfinite(mus), axis=-1)
+        )
 
     def log_density(self, x, theta):
         pis, mus = self.split(theta)
         x = np.asarray(x, dtype=float)
-        z = (x[..., None] - mus) / self.sigma
+        shape = mus.shape[:-1] + (1,) * x.ndim + (self.k,)
+        z = (x[..., None] - mus.reshape(shape)) / self.sigma
         comp = -0.5 * z**2 - math.log(self.sigma * math.sqrt(2 * math.pi))
-        out = logsumexp(comp + np.log(pis), axis=-1)
-        return out if np.ndim(out) else float(out)
+        return _value(logsumexp(comp + np.log(pis.reshape(shape)), axis=-1))
 
     def sample(self, theta, count, rng):
         pis, mus = self.split(theta)
@@ -599,13 +617,12 @@ class BetaPushforwardKernel(KernelFamily):
         self.xi = float(xi)
 
     def in_box(self, theta):
-        pi1, a1, a2 = theta
-        return 0.0 < pi1 < 1.0 and 2.0 < a1 < a2
+        pi1, a1, a2 = theta[..., 0], theta[..., 1], theta[..., 2]
+        return (0.0 < pi1) & (pi1 < 1.0) & (2.0 < a1) & (a1 < a2)
 
     def _component_logpdf(self, z, alpha):
         a = alpha * self.xi
         b = alpha * (1.0 - self.xi)
-        z = np.asarray(z, dtype=float)
         with np.errstate(divide="ignore", invalid="ignore"):
             inside = (z > 0) & (z < 1)
             zz = np.where(inside, z, 0.5)
@@ -617,12 +634,10 @@ class BetaPushforwardKernel(KernelFamily):
         return out
 
     def log_density(self, x, theta):
-        theta = self.check_theta(theta)
-        pi1, a1, a2 = theta
-        l1 = self._component_logpdf(x, a1) + math.log(pi1)
-        l2 = self._component_logpdf(x, a2) + math.log1p(-pi1)
-        out = np.logaddexp(l1, l2)
-        return out if np.ndim(out) else float(out)
+        x, (pi1, a1, a2) = self._coords(x, theta)
+        l1 = self._component_logpdf(x, a1) + np.log(pi1)
+        l2 = self._component_logpdf(x, a2) + np.log1p(-pi1)
+        return _value(np.logaddexp(l1, l2))
 
     def sample(self, theta, count, rng):
         theta = self.check_theta(theta)
@@ -687,19 +702,6 @@ class BetaPushforwardKernel(KernelFamily):
         return num / den
 
 
-def log_density(kernel, x, theta):
-    """Module-level dispatch kept for a uniform operation surface."""
-    return kernel.log_density(x, theta)
-
-
-def sample(kernel, theta, count, rng):
-    return kernel.sample(theta, count, rng)
-
-
-def grad_density(kernel, x, theta):
-    return kernel.grad_density(x, theta)
-
-
 def hellinger_expfam(spec, theta1, theta2):
     """Hellinger distance from the log-partition of an exponential family:
     1 - h^2 = exp(A(midpoint) - average of A at the endpoints)."""
@@ -720,19 +722,33 @@ def hellinger_expfam(spec, theta1, theta2):
     return math.sqrt(max(h2, 0.0))
 
 
-def _segments(kernel, theta1, theta2):
-    sup1 = kernel.support(theta1)
-    sup2 = kernel.support(theta2)
-    lo = min(sup1[0], sup2[0])
-    hi = max(sup1[1], sup2[1])
-    pts = sorted(
-        {
-            p
-            for p in kernel.breakpoints(theta1) + kernel.breakpoints(theta2)
-            if lo < p < hi
-        }
-    )
-    return [lo] + pts + [hi]
+def _segment_boundaries(kernel, atoms, tail_eps=None):
+    """Integration boundaries for the kernels at all atoms: the union of
+    their supports (or, given tail_eps, of their finite tail bounds), cut
+    at every breakpoint strictly inside."""
+    los, his, cuts = [], [], set()
+    for atom in np.reshape(atoms, (-1, kernel.q)):
+        if tail_eps is None:
+            lo, hi = kernel.support(atom)
+        else:
+            lo, hi = kernel.tail_bounds(atom, tail_eps)
+        los.append(lo)
+        his.append(hi)
+        cuts.update(kernel.breakpoints(atom))
+    lo, hi = min(los), max(his)
+    return [lo] + sorted(c for c in cuts if lo < c < hi) + [hi]
+
+
+def _gl_nodes(boundaries, panels_per_segment, order):
+    base_x, base_w = leggauss(order)
+    xs, ws = [], []
+    for a, b in zip(boundaries[:-1], boundaries[1:]):
+        edges = np.linspace(a, b, panels_per_segment + 1)
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            half = 0.5 * (hi - lo)
+            xs.append(0.5 * (lo + hi) + half * base_x)
+            ws.append(half * base_w)
+    return np.concatenate(xs), np.concatenate(ws)
 
 
 def integrate_piecewise(fun, boundaries, epsabs=QUAD_EPS, epsrel=QUAD_EPS):
@@ -748,6 +764,24 @@ def integrate_piecewise(fun, boundaries, epsabs=QUAD_EPS, epsrel=QUAD_EPS):
     return total
 
 
+def _distance_integrand(which, densities):
+    """TV or squared-Hellinger integrand for a callable x -> (p(x), q(x))."""
+    if which == "tv":
+
+        def fun(x):
+            p, q = densities(x)
+            return 0.5 * abs(p - q)
+
+    else:
+
+        def fun(x):
+            p, q = densities(x)
+            d = math.sqrt(p) - math.sqrt(q)
+            return 0.5 * d * d
+
+    return fun
+
+
 def divergence_numeric(kernel, theta1, theta2, which):
     """Divergence by exact summation (discrete) or adaptive quadrature with
     support-boundary splitting (continuous). Returns the Hellinger DISTANCE
@@ -757,9 +791,9 @@ def divergence_numeric(kernel, theta1, theta2, which):
         raise InvalidParameter(f"unknown divergence {which!r}")
     t1 = kernel.check_theta(theta1)
     t2 = kernel.check_theta(theta2)
+    atoms = np.stack([t1, t2])
     if kernel.data_space == "binary":
-        p = np.array([kernel.density(x, t1) for x in (0.0, 1.0)])
-        q = np.array([kernel.density(x, t2) for x in (0.0, 1.0)])
+        p, q = kernel.density(np.array([0.0, 1.0]), atoms)
         if which == "tv":
             return 0.5 * float(np.abs(p - q).sum())
         if which == "hellinger":
@@ -773,41 +807,18 @@ def divergence_numeric(kernel, theta1, theta2, which):
             return np.inf
 
         def fun(x):
-            lp = kernel.log_density(x, t1)
+            lp, lq = kernel.log_density(x, atoms)
             if lp == -np.inf:
                 return 0.0
-            return math.exp(lp) * (lp - kernel.log_density(x, t2))
-
-    elif which == "tv":
-
-        def fun(x):
-            return 0.5 * abs(
-                kernel.density(x, t1) - kernel.density(x, t2)
-            )
+            return math.exp(lp) * (lp - lq)
 
     else:
+        fun = _distance_integrand(which, lambda x: kernel.density(x, atoms))
 
-        def fun(x):
-            d = math.sqrt(kernel.density(x, t1)) - math.sqrt(kernel.density(x, t2))
-            return 0.5 * d * d
-
-    value = integrate_piecewise(fun, _segments(kernel, t1, t2))
+    value = integrate_piecewise(fun, _segment_boundaries(kernel, atoms))
     if which == "hellinger":
         return math.sqrt(max(value, 0.0))
     return max(value, 0.0)
-
-
-def _fd_jacobian(fun, theta, dim_out):
-    theta = np.asarray(theta, dtype=float)
-    J = np.empty((dim_out, theta.size))
-    for i in range(theta.size):
-        h = FD_STEP * max(1.0, abs(theta[i]))
-        up = theta.copy()
-        dn = theta.copy()
-        up[i] += h
-        dn[i] -= h
-        J[:, i] = (fun(up) - fun(dn)) / (2 * h)
-    return J
 
 
 def moment_map(kernel, theta):
@@ -824,7 +835,7 @@ def moment_map(kernel, theta):
     lam = kernel.moment_lambda(theta)
     J = kernel.moment_jacobian(theta)
     det_closed = kernel.moment_det_closed(theta)
-    J_fd = _fd_jacobian(kernel.moment_lambda, theta, lam.size)
+    J_fd = _central_difference(kernel.moment_lambda, theta).T
     det_fd = float(np.linalg.det(J_fd))
     return MomentMapReport(lam=lam, jacobian=J, det_closed=det_closed, det_fd=det_fd)
 

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import (
     AllProposalsRejected,
@@ -21,6 +20,7 @@ from .errors import (
     InvalidMeasure,
     InvalidParameter,
 )
+from .kernels import logsumexp
 from .measures import MixingMeasure, canonicalize
 from .products import ExchangeableDataset, sample_dataset
 from .rng import stream
@@ -60,11 +60,9 @@ class PriorSpec:
             raise InvalidParameter("prior box bounds must be finite")
         if not np.all(box[:, 0] < box[:, 1]):
             raise InvalidParameter("prior box needs lower < upper per coordinate")
-        for corner in itertools.product(*box):
-            if not self.kernel.in_box(np.asarray(corner)):
-                raise InvalidParameter(
-                    "prior box must sit inside the kernel parameter box"
-                )
+        corners = np.array(list(itertools.product(*box)))
+        if not np.all(self.kernel.in_box(corners)):
+            raise InvalidParameter("prior box must sit inside the kernel parameter box")
         box = box.copy()
         box.flags.writeable = False
         object.__setattr__(self, "box", box)
@@ -168,11 +166,6 @@ def prior_sample(prior, k0, rng):
     raise ConvergenceError("atom draws kept colliding; check the prior box")
 
 
-def _logsumexp_rows(mat):
-    mx = mat.max(axis=1, keepdims=True)
-    return mx[:, 0] + np.log(np.exp(mat - mx).sum(axis=1))
-
-
 def _binary_sufficient_stats(dataset):
     """Unique (length, successes) rows with multiplicities, sorted so the
     evaluation is independent of the sequence order."""
@@ -205,7 +198,7 @@ def _likelihood_evaluator(kernel, dataset):
                 + successes[:, None] * lt[None, :]
                 + (lengths - successes)[:, None] * l1t[None, :]
             )
-            return float(counts @ _logsumexp_rows(mat))
+            return float(counts @ logsumexp(mat, axis=1))
 
         return loglik
 
@@ -215,15 +208,8 @@ def _likelihood_evaluator(kernel, dataset):
     ).astype(int)
 
     def loglik(atoms, log_weights):
-        cols = [
-            np.add.reduceat(
-                np.asarray(kernel.log_density(concat, atom), dtype=float),
-                starts,
-            )
-            for atom in atoms
-        ]
-        mat = log_weights[None, :] + np.stack(cols, axis=1)
-        return float(logsumexp(mat, axis=1).sum())
+        per_seq = np.add.reduceat(kernel.log_density(concat, atoms), starts, axis=1)
+        return float(logsumexp(log_weights[:, None] + per_seq, axis=0).sum())
 
     return loglik
 

@@ -8,7 +8,7 @@ from zero is consistent with an inverse bound.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -180,9 +180,8 @@ def _path_measure(kernel, G0, a_prime, b_prime, ell):
     weights = G0.weights + b_prime / ell
     if np.any(weights <= 0.0) or np.any(weights >= 1.0):
         raise InvalidPath(f"weights leave the open simplex at ell={ell:g}")
-    for atom in atoms:
-        if not kernel.in_box(atom):
-            raise InvalidPath(f"an atom leaves the parameter box at ell={ell:g}")
+    if not np.all(kernel.in_box(atoms)):
+        raise InvalidPath(f"an atom leaves the parameter box at ell={ell:g}")
     try:
         return MixingMeasure(atoms, weights)
     except InvalidMeasure as exc:
@@ -271,8 +270,7 @@ def inverse_ratio_probe(
     distance or collapses faster.
     """
     grid = _check_ell_grid(ell_grid)
-    for atom in G0.atoms:
-        kernel.check_theta(atom)
+    kernel.check_theta(G0.atoms)
     a, b = _parse_direction(kernel, G0.k, direction)
     a_prime, b_prime = _normalized_direction(G0, a, b)
     rows = []
@@ -322,8 +320,7 @@ def impact_probe_Dr(
     grid = _check_ell_grid(ell_grid)
     if not (np.isscalar(r) and math.isfinite(r) and r >= 1):
         raise InvalidParameter("order r must be a real number >= 1")
-    for atom in G0.atoms:
-        kernel.check_theta(atom)
+    kernel.check_theta(G0.atoms)
     a, b = _parse_direction(kernel, G0.k, direction)
     if not np.any(b != 0.0):
         raise InvalidParameter("the direction must move at least one weight")
@@ -375,8 +372,7 @@ def curvature_probe_locscale(G0, ell_grid=DEFAULT_ELL_GRID):
         raise InvalidParameter(
             "the base measure needs at least two endpoint-scale atoms"
         )
-    for atom in G0.atoms:
-        kernel.check_theta(atom)
+    kernel.check_theta(G0.atoms)
     (xi1, sig1), (xi2, sig2) = G0.atoms[0], G0.atoms[1]
     p1, p2 = G0.weights[0], G0.weights[1]
     scale = max(1.0, abs(xi1), sig1, sig2)
@@ -465,8 +461,7 @@ def sqrtN_sharpness_probe(
     eps_values = [float(e) for e in eps_grid]
     if not eps_values or any(not math.isfinite(e) for e in eps_values):
         raise InvalidParameter("perturbation sizes must be finite")
-    for atom in G0.atoms:
-        kernel.check_theta(atom)
+    kernel.check_theta(G0.atoms)
     if not (0 <= atom_index < G0.k and 0 <= coordinate < G0.q):
         raise InvalidParameter("perturbed atom or coordinate out of range")
     excluded = [e for e in eps_values if e == 0.0]

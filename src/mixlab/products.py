@@ -9,8 +9,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
-from scipy.special import gammaln, logsumexp
+from scipy.special import gammaln
 
 from .errors import (
     BudgetExceeded,
@@ -19,7 +18,14 @@ from .errors import (
     MismatchedSupportSize,
     QuadratureNonConvergence,
 )
-from .kernels import divergence_numeric, integrate_piecewise
+from .kernels import (
+    _distance_integrand,
+    _gl_nodes,
+    _segment_boundaries,
+    divergence_numeric,
+    integrate_piecewise,
+    logsumexp,
+)
 from .measures import BRUTE_FORCE_MAX
 from .rng import CHUNK, chunk_sizes, chunk_stream
 
@@ -27,6 +33,7 @@ MC_DEFAULT_BUDGET = 10**6
 MC_MIN_BUDGET = 10**4
 TAIL_EPS = 1e-13
 TENSOR_TOL = 1e-7
+TENSOR_BLOCK_ENTRIES = 2**22
 
 
 class ProductMixtureModel:
@@ -36,8 +43,7 @@ class ProductMixtureModel:
     def __init__(self, measure, kernel, N):
         if not (isinstance(N, (int, np.integer)) and N >= 1):
             raise InvalidParameter("N must be a positive integer")
-        for atom in measure.atoms:
-            kernel.check_theta(atom)
+        kernel.check_theta(measure.atoms)
         self.measure = measure
         self.kernel = kernel
         self.N = int(N)
@@ -53,17 +59,9 @@ class ProductMixtureModel:
     def log_density_many(self, X):
         """Log densities of rows of X, an (n, N) array of sequences."""
         X = np.asarray(X, dtype=float)
-        n = X.shape[0]
-        k = self.measure.k
-        comp = np.empty((n, k))
-        flat = X.ravel()
         with np.errstate(invalid="ignore"):
-            for i in range(k):
-                per_obs = np.asarray(
-                    self.kernel.log_density(flat, self.measure.atoms[i])
-                ).reshape(n, self.N)
-                comp[:, i] = per_obs.sum(axis=1)
-        return logsumexp(comp + np.log(self.measure.weights), axis=1)
+            comp = self.kernel.log_density(X, self.measure.atoms).sum(axis=-1)
+        return logsumexp(comp + np.log(self.measure.weights)[:, None], axis=0)
 
     def sample(self, count, rng):
         """Draw sequences: one latent component per sequence."""
@@ -155,10 +153,6 @@ class DivergenceEstimate:
             )
 
 
-def log_density_product(model, xbar):
-    return model.log_density(xbar)
-
-
 def sample_dataset(G, kernel, lengths, rng, seed=None):
     """One latent component per sequence, then conditionally i.i.d. draws."""
     lengths = [int(n) for n in lengths]
@@ -196,20 +190,26 @@ def _check_upper_bound_inputs(G, G2, N):
         raise InvalidParameter("N must be a positive integer")
 
 
+def _min_over_matchings(G, G2, pair, scale, weight_term):
+    """min over atom matchings of scale * (largest matched pairwise value)
+    + weight_term(total weight discrepancy of the matching)."""
+    best = np.inf
+    for perm in itertools.permutations(range(G.k)):
+        idx = np.array(perm)
+        atom_term = scale * pair[idx, np.arange(G.k)].max()
+        gap = np.abs(G.weights[idx] - G2.weights).sum()
+        best = min(best, atom_term + weight_term(gap))
+    return best
+
+
 def hellinger_upper_bound(G, G2, kernel, N):
     """min over atom matchings of sqrt(N) * (largest pairwise Hellinger)
     + sqrt(half the total weight discrepancy)."""
     _check_upper_bound_inputs(G, G2, N)
     H = _pairwise_divergence(kernel, G, G2, "hellinger")
-    best = np.inf
-    for perm in itertools.permutations(range(G.k)):
-        idx = np.array(perm)
-        atom_term = math.sqrt(N) * H[idx, np.arange(G.k)].max()
-        weight_term = math.sqrt(
-            0.5 * np.abs(G.weights[idx] - G2.weights).sum()
-        )
-        best = min(best, atom_term + weight_term)
-    return best
+    return _min_over_matchings(
+        G, G2, H, math.sqrt(N), lambda gap: math.sqrt(0.5 * gap)
+    )
 
 
 def tv_upper_bound(G, G2, kernel, N):
@@ -225,13 +225,7 @@ def tv_upper_bound(G, G2, kernel, N):
         kernel, G, G2, "tv" if N == 1 else "hellinger"
     )
     scale = 1.0 if N == 1 else math.sqrt(2.0 * N)
-    best = np.inf
-    for perm in itertools.permutations(range(G.k)):
-        idx = np.array(perm)
-        atom_term = scale * pair[idx, np.arange(G.k)].max()
-        weight_term = 0.5 * np.abs(G.weights[idx] - G2.weights).sum()
-        best = min(best, atom_term + weight_term)
-    return best
+    return _min_over_matchings(G, G2, pair, scale, lambda gap: 0.5 * gap)
 
 
 def bernoulli_count_probs(G, N):
@@ -262,51 +256,18 @@ def _exact_bernoulli_estimate(G, G2, N, which):
     )
 
 
-def _mixture_boundaries(kernel, G, G2, finite_tails):
-    los, his, pts = [], [], set()
-    for measure in (G, G2):
-        for atom in measure.atoms:
-            if finite_tails:
-                lo, hi = kernel.tail_bounds(atom, TAIL_EPS)
-            else:
-                lo, hi = kernel.support(atom)
-            los.append(lo)
-            his.append(hi)
-            pts.update(kernel.breakpoints(atom))
-    lo = min(los)
-    hi = max(his)
-    inner = sorted(p for p in pts if lo < p < hi)
-    return [lo] + inner + [hi]
-
-
 def _quadrature_estimate_n1(G, G2, kernel, which):
-    dens = [
-        lambda x, M=M: sum(
-            w * M.kernel.density(x, a)
-            for w, a in zip(M.measure.weights, M.measure.atoms)
-        )
-        for M in (
-            ProductMixtureModel(G, kernel, 1),
-            ProductMixtureModel(G2, kernel, 1),
-        )
-    ]
+    atoms = np.concatenate([G.atoms, G2.atoms])
     evals = [0]
 
-    if which == "tv":
+    def mixtures(x):
+        evals[0] += 1
+        dens = kernel.density(x, atoms)
+        return G.weights @ dens[: G.k], G2.weights @ dens[G.k :]
 
-        def fun(x):
-            evals[0] += 1
-            return 0.5 * abs(dens[0](x) - dens[1](x))
-
-    else:
-
-        def fun(x):
-            evals[0] += 1
-            d = math.sqrt(dens[0](x)) - math.sqrt(dens[1](x))
-            return 0.5 * d * d
-
-    bounds = _mixture_boundaries(kernel, G, G2, finite_tails=False)
-    value = integrate_piecewise(fun, bounds)
+    value = integrate_piecewise(
+        _distance_integrand(which, mixtures), _segment_boundaries(kernel, atoms)
+    )
     if which == "hellinger":
         value = math.sqrt(max(value, 0.0))
     return DivergenceEstimate(
@@ -317,36 +278,31 @@ def _quadrature_estimate_n1(G, G2, kernel, which):
     )
 
 
-def _gl_nodes(boundaries, panels_per_segment, order):
-    base_x, base_w = leggauss(order)
-    xs, ws = [], []
-    for a, b in zip(boundaries[:-1], boundaries[1:]):
-        edges = np.linspace(a, b, panels_per_segment + 1)
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            half = 0.5 * (hi - lo)
-            xs.append(0.5 * (lo + hi) + half * base_x)
-            ws.append(half * base_w)
-    return np.concatenate(xs), np.concatenate(ws)
-
-
 def _tensor_integral(G, G2, kernel, which, nodes, weights):
-    def component_matrix(measure):
-        V = np.empty((measure.k, nodes.size))
-        for i in range(measure.k):
-            V[i] = kernel.density(nodes, measure.atoms[i])
-        return (V * measure.weights[:, None]).T @ V
-
-    A = component_matrix(G)
-    B = component_matrix(G2)
-    if which == "tv":
-        M = 0.5 * np.abs(A - B)
-    else:
-        M = 0.5 * (np.sqrt(np.maximum(A, 0)) - np.sqrt(np.maximum(B, 0))) ** 2
-    return float(weights @ M @ weights)
+    """Integral over the node grid squared of the N = 2 integrand, summed
+    over row blocks of at most TENSOR_BLOCK_ENTRIES node pairs."""
+    V = kernel.density(nodes, G.atoms)
+    W = kernel.density(nodes, G2.atoms)
+    Vw = V * G.weights[:, None]
+    Ww = W * G2.weights[:, None]
+    rows = max(1, TENSOR_BLOCK_ENTRIES // nodes.size)
+    total = 0.0
+    for lo in range(0, nodes.size, rows):
+        block = slice(lo, lo + rows)
+        A = Vw[:, block].T @ V
+        B = Ww[:, block].T @ W
+        if which == "tv":
+            M = 0.5 * np.abs(A - B)
+        else:
+            M = 0.5 * (np.sqrt(np.maximum(A, 0)) - np.sqrt(np.maximum(B, 0))) ** 2
+        total += weights[block] @ M @ weights
+    return float(total)
 
 
 def _quadrature_estimate_n2(G, G2, kernel, which):
-    bounds = _mixture_boundaries(kernel, G, G2, finite_tails=True)
+    bounds = _segment_boundaries(
+        kernel, np.concatenate([G.atoms, G2.atoms]), TAIL_EPS
+    )
     panels = max(1, 64 // (len(bounds) - 1))
     for _ in range(6):
         x8, w8 = _gl_nodes(bounds, panels, 8)
@@ -377,18 +333,7 @@ def _mc_chunk(modelP, modelQ, which, size, rng):
         (modelQ, np.flatnonzero(~pick)),
     ):
         if rows.size:
-            comps = rng.choice(
-                model.measure.k, size=rows.size, p=model.measure.weights
-            )
-            for i in range(model.measure.k):
-                sub = rows[comps == i]
-                if sub.size:
-                    draws = model.kernel.sample(
-                        model.measure.atoms[i], sub.size * model.N, rng
-                    )
-                    X[sub] = np.asarray(draws, dtype=float).reshape(
-                        sub.size, model.N
-                    )
+            X[rows] = model.sample(rows.size, rng)
     d = modelP.log_density_many(X) - modelQ.log_density_many(X)
     with np.errstate(over="ignore"):
         if which == "tv":
@@ -457,8 +402,7 @@ def estimate_divergence(
     if not (isinstance(N, (int, np.integer)) and N >= 1):
         raise InvalidParameter("N must be a positive integer")
     for measure in (G, G2):
-        for atom in measure.atoms:
-            kernel.check_theta(atom)
+        kernel.check_theta(measure.atoms)
     if kernel.data_space == "binary":
         return _exact_bernoulli_estimate(G, G2, N, which)
     if N == 1:

@@ -1,0 +1,34 @@
+"""Static checks on the package source that need only the standard library."""
+
+import ast
+import pathlib
+
+import pytest
+
+import mixlab
+
+MODULES = sorted(
+    path
+    for path in pathlib.Path(mixlab.__file__).parent.glob("*.py")
+    if path.name != "__init__.py"
+)
+
+
+def unused_imports(path):
+    """Names bound by module-level imports that the module never reads."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = set()
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported.add(alias.asname or alias.name.split(".")[0])
+        elif isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                imported.add(alias.asname or alias.name)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(imported - used)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_module_level_imports_are_used(path):
+    assert unused_imports(path) == []

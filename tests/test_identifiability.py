@@ -222,6 +222,14 @@ class TestNonIdentifiableWitness:
         with pytest.raises(InvalidParameter):
             bernoulli_nonidentifiable_witness(G, -1.0)
 
+    def test_repeated_calls_are_bit_identical(self):
+        G = bern_measure([0.15, 0.35, 0.6, 0.85], [0.2, 0.3, 0.25, 0.25])
+        first = bernoulli_nonidentifiable_witness(G, 1.0).witness
+        for _ in range(9):
+            again = bernoulli_nonidentifiable_witness(G, 1.0).witness
+            assert again.atoms.tobytes() == first.atoms.tobytes()
+            assert again.weights.tobytes() == first.weights.tobytes()
+
     def test_nearly_coincident_atoms_break_down(self):
         G = bern_measure([0.5, 0.5 + 1e-15], [0.5, 0.5])
         with pytest.raises(RootBracketingFailed):

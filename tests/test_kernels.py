@@ -23,10 +23,10 @@ from mixlab.kernels import (
     LocScaleExponentialKernel,
     UniformKernel,
     divergence_numeric,
-    grad_density,
     hellinger_expfam,
     integrate_piecewise,
     kernel_from_spec,
+    logsumexp,
     moment_map,
 )
 
@@ -104,6 +104,111 @@ class TestDensities:
             BetaPushforwardKernel(0.4).check_theta([0.5, 4.0, 3.0])
         with pytest.raises(InvalidParameter):
             BetaPushforwardKernel(1.2)
+
+
+PROTOCOL_CASES = [
+    (
+        BernoulliKernel(),
+        [[0.3], [0.55], [0.8]],
+        [1.2],
+        [[0.0, 1.0, 1.0], [1.0, 0.0, 0.0]],
+    ),
+    (
+        GaussianLocationKernel(1.3),
+        [[0.4], [-1.0], [2.5]],
+        [np.inf],
+        [[-2.0, 0.1, 0.7], [1.3, 3.0, -0.4]],
+    ),
+    (
+        GammaKernel(),
+        [[2.5, 1.7], [1.2, 3.0], [0.7, 0.4]],
+        [1.0, -1.0],
+        [[-0.5, 0.1, 0.7], [1.3, 3.0, 6.0]],
+    ),
+    (
+        UniformKernel(),
+        [[2.2], [1.0], [0.7]],
+        [-1.0],
+        [[-0.5, 0.1, 0.8], [1.3, 2.0, 2.5]],
+    ),
+    (
+        LocScaleExponentialKernel(),
+        [[-0.5, 1.4], [0.3, 0.5], [1.0, 2.0]],
+        [0.0, -1.0],
+        [[-1.0, 0.1, 0.7], [1.3, 3.0, 6.0]],
+    ),
+    (
+        GaussianLocationMixtureKernel(3, 0.8),
+        [
+            [0.2, 0.5, -1.0, 0.3, 2.0],
+            [0.3, 0.3, -0.5, 0.0, 1.0],
+            [0.1, 0.1, 0.0, 1.0, 3.0],
+        ],
+        [0.6, 0.6, -1.0, 0.3, 2.0],
+        [[-2.0, 0.1, 0.7], [1.3, 3.0, -0.4]],
+    ),
+    (
+        BetaPushforwardKernel(0.4),
+        [[0.3, 2.6, 5.0], [0.5, 3.0, 4.0], [0.9, 2.1, 9.0]],
+        [0.5, 1.5, 3.0],
+        [[-0.2, 0.05, 0.3], [0.6, 0.95, 1.5]],
+    ),
+]
+
+
+class TestBroadcastProtocol:
+    @pytest.mark.parametrize("kernel,atoms,bad,xs", PROTOCOL_CASES)
+    def test_batch_equals_stacked_single_atoms(self, kernel, atoms, bad, xs):
+        atoms = np.asarray(atoms, dtype=float)
+        xs = np.asarray(xs, dtype=float)
+        for name in ("log_density", "density", "grad_density"):
+            method = getattr(kernel, name)
+            batched = method(xs, atoms)
+            stacked = np.stack([method(xs, atom) for atom in atoms])
+            np.testing.assert_allclose(batched, stacked, rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("kernel,atoms,bad,xs", PROTOCOL_CASES)
+    def test_output_shapes(self, kernel, atoms, bad, xs):
+        atoms = np.asarray(atoms, dtype=float)
+        xs = np.asarray(xs, dtype=float)
+        q = kernel.q
+        assert kernel.log_density(xs, atoms).shape == (3,) + xs.shape
+        assert kernel.density(xs, atoms).shape == (3,) + xs.shape
+        assert kernel.grad_density(xs, atoms).shape == (3, q) + xs.shape
+        grid = atoms.reshape(3, 1, q)
+        assert kernel.log_density(xs, grid).shape == (3, 1) + xs.shape
+        assert kernel.grad_density(xs, grid).shape == (3, 1, q) + xs.shape
+        assert kernel.log_density(xs, atoms[0]).shape == xs.shape
+        assert kernel.grad_density(xs, atoms[0]).shape == (q,) + xs.shape
+        x0 = float(xs[1, 1])
+        assert isinstance(kernel.log_density(x0, atoms[0]), float)
+        assert kernel.grad_density(x0, atoms[0]).shape == (q,)
+
+    @pytest.mark.parametrize("kernel,atoms,bad,xs", PROTOCOL_CASES)
+    def test_one_bad_atom_rejects_the_batch(self, kernel, atoms, bad, xs):
+        atoms = np.asarray(atoms, dtype=float).copy()
+        atoms[1] = bad
+        for name in ("log_density", "density", "grad_density"):
+            with pytest.raises(InvalidParameter):
+                getattr(kernel, name)(xs, atoms)
+
+
+class TestLogSumExp:
+    def test_matches_scipy(self, rng):
+        from scipy.special import logsumexp as scipy_logsumexp
+
+        a = rng.normal(0, 30, size=(6, 5))
+        a[2, 1] = -np.inf
+        for axis in (0, 1, -1):
+            np.testing.assert_allclose(
+                logsumexp(a, axis=axis), scipy_logsumexp(a, axis=axis), rtol=1e-14
+            )
+
+    def test_all_minus_infinity_row(self):
+        a = np.array([[-np.inf, -np.inf], [0.0, 0.0]])
+        out = logsumexp(a, axis=1)
+        assert out[0] == -np.inf
+        assert out[1] == pytest.approx(math.log(2.0), abs=1e-15)
 
 
 class TestSamplers:
@@ -252,27 +357,27 @@ class TestGradients:
     )
     def test_analytic_matches_fd(self, kernel, theta, xs):
         for x in xs:
-            analytic = grad_density(kernel, x, theta)
+            analytic = kernel.grad_density(x, theta)
             fd = fd_gradient(kernel, x, theta)
             np.testing.assert_allclose(analytic, fd, rtol=2e-5, atol=1e-8)
 
     def test_composites_fd_gradient(self):
         ker = GaussianLocationMixtureKernel(2, 1.0)
         theta = np.array([0.4, -0.5, 1.0])
-        g = grad_density(ker, 0.3, theta)
+        g = ker.grad_density(0.3, theta)
         assert g.shape == (3,)
         assert np.all(np.isfinite(g))
 
     def test_bernoulli_gradient(self):
         ker = BernoulliKernel()
-        assert grad_density(ker, 1.0, [0.3])[0] == 1.0
-        assert grad_density(ker, 0.0, [0.3])[0] == -1.0
+        assert ker.grad_density(1.0, [0.3])[0] == 1.0
+        assert ker.grad_density(0.0, [0.3])[0] == -1.0
 
     def test_gamma_shift_identity(self):
         ker = GammaKernel()
         alpha, beta = 2.7, 1.9
         for x in (0.3, 1.1, 2.5):
-            g = grad_density(ker, x, [alpha, beta])
+            g = ker.grad_density(x, [alpha, beta])
             rhs = (alpha / beta) * (
                 ker.density(x, [alpha, beta]) - ker.density(x, [alpha + 1, beta])
             )
@@ -280,18 +385,18 @@ class TestGradients:
 
     def test_boundary_points_raise(self):
         with pytest.raises(NonDifferentiablePoint):
-            grad_density(UniformKernel(), 2.0, [2.0])
+            UniformKernel().grad_density(2.0, [2.0])
         with pytest.raises(NonDifferentiablePoint):
-            grad_density(UniformKernel(), 0.0, [2.0])
+            UniformKernel().grad_density(0.0, [2.0])
         with pytest.raises(NonDifferentiablePoint):
-            grad_density(LocScaleExponentialKernel(), -0.3, [-0.3, 1.6])
+            LocScaleExponentialKernel().grad_density(-0.3, [-0.3, 1.6])
         with pytest.raises(NonDifferentiablePoint):
-            grad_density(GammaKernel(), 0.0, [0.5, 1.0])
+            GammaKernel().grad_density(0.0, [0.5, 1.0])
 
     def test_outside_support_zero(self):
-        assert np.all(grad_density(UniformKernel(), 3.0, [2.0]) == 0.0)
+        assert np.all(UniformKernel().grad_density(3.0, [2.0]) == 0.0)
         assert np.all(
-            grad_density(LocScaleExponentialKernel(), -1.0, [0.0, 1.0]) == 0.0
+            LocScaleExponentialKernel().grad_density(-1.0, [0.0, 1.0]) == 0.0
         )
 
 

@@ -1,9 +1,14 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
 
+import mixlab
 from mixlab.errors import (
     BudgetExceeded,
     InvalidParameter,
@@ -25,7 +30,6 @@ from mixlab.products import (
     d_mh,
     estimate_divergence,
     hellinger_upper_bound,
-    log_density_product,
     sample_dataset,
     tv_upper_bound,
 )
@@ -72,7 +76,7 @@ class TestProductDensity:
     def test_bernoulli_hand_enumeration(self):
         G = bern_measure([0.3, 0.7], [0.5, 0.5])
         model = ProductMixtureModel(G, BERN, 2)
-        val = log_density_product(model, [1.0, 0.0])
+        val = model.log_density([1.0, 0.0])
         assert val == pytest.approx(math.log(0.21), abs=1e-12)
 
     def test_length_mismatch(self):
@@ -272,6 +276,38 @@ class TestEstimateDivergence:
         h1 = ker.closed_divergence("hellinger", [2.0, 3.0], [3.0, 3.0])
         expected = math.sqrt(1.0 - (1.0 - h1**2) ** 2)
         assert est.value == pytest.approx(expected, abs=1e-7)
+
+    def test_tensor_n2_memory_is_bounded(self):
+        # The converged grid has 8192^2 node pairs: one dense float64 matrix
+        # of that size alone is 512 MiB, so three of them exceed the limit.
+        script = textwrap.dedent(
+            """
+            import resource
+            limit = 1536 * 2**20
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+            import numpy as np
+            from mixlab.kernels import GaussianLocationKernel
+            from mixlab.measures import MixingMeasure
+            from mixlab.products import estimate_divergence
+            G = MixingMeasure(np.array([[-1.0], [0.0], [1.2]]), [0.3, 0.3, 0.4])
+            H = MixingMeasure(np.array([[-0.9], [0.1], [1.0]]), [0.35, 0.3, 0.35])
+            est = estimate_divergence(G, H, GaussianLocationKernel(1.0), 2, "tv")
+            print(est.n, est.value)
+            """
+        )
+        src = os.path.dirname(os.path.dirname(mixlab.__file__))
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        n, value = proc.stdout.split()
+        assert int(n) >= 8192**2
+        assert 0.0 < float(value) < 1.0
 
     def test_mc_matches_exact_bernoulli(self):
         G = bern_measure([0.25, 0.6], [0.35, 0.65])
