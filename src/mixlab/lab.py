@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import MixLabError, SchemaError
+from .errors import InvalidParameter, MixLabError, SchemaError
 from .identifiability import (
     bernoulli_first_order_system,
     bernoulli_nonidentifiable_witness,
@@ -112,7 +112,44 @@ def _parse_measures(doc, kernel):
     return tuple(measures)
 
 
-def _validate_parameters(subcommand, params, measures):
+def _chain_specs(params, kernel):
+    """posterior-sim's MCMCConfig and PriorSpec (None without a prior_box);
+    a SchemaError names the bad field."""
+    mcmc = params.get("mcmc", {})
+    if not isinstance(mcmc, dict):
+        raise SchemaError("parameters.mcmc", "expected an object")
+    for key, value in mcmc.items():
+        path = f"parameters.mcmc.{key}"
+        if key == "steps":
+            _as_int(value, path)
+        elif key in ("burn_fraction", "initial_scale"):
+            _as_number(value, path)
+        else:
+            raise SchemaError(
+                path, "unknown field; expected steps, burn_fraction or initial_scale"
+            )
+    try:
+        chain_config = MCMCConfig(**mcmc)
+    except InvalidParameter as err:
+        raise SchemaError("parameters.mcmc", str(err)) from err
+    if "prior_box" not in params:
+        return chain_config, None
+    box = params["prior_box"]
+    path = "parameters.prior_box"
+    if not isinstance(box, list):
+        raise SchemaError(path, "expected a list of [lo, hi] pairs")
+    for i, pair in enumerate(box):
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise SchemaError(f"{path}[{i}]", "expected a [lo, hi] pair")
+        for j, value in enumerate(pair):
+            _as_number(value, f"{path}[{i}][{j}]")
+    try:
+        return chain_config, PriorSpec(kernel, np.asarray(box, dtype=float))
+    except InvalidParameter as err:
+        raise SchemaError(path, str(err)) from err
+
+
+def _validate_parameters(subcommand, params, measures, kernel):
     if subcommand == "distance":
         if len(measures) < 2:
             raise SchemaError("measures", "distance needs two measures")
@@ -167,6 +204,8 @@ def _validate_parameters(subcommand, params, measures):
             _require(params, key, f"parameters.{key}")
         for key in ("m", "N"):
             values = params[key]
+            if values == []:
+                raise SchemaError(f"parameters.{key}", "expected at least one value")
             for i, v in enumerate(values if isinstance(values, list) else [values]):
                 _as_number(v, f"parameters.{key}[{i}]")
         for key in ("gamma", "beta0", "a"):
@@ -183,6 +222,7 @@ def _validate_parameters(subcommand, params, measures):
         if not isinstance(law, list) or not law:
             raise SchemaError("parameters.length_law", "expected a nonempty list")
         _as_int(params.get("replicates", 1), "parameters.replicates", minimum=1)
+        _chain_specs(params, kernel)
 
 
 def parse_config(text):
@@ -222,7 +262,7 @@ def parse_config(text):
     parameters = doc.get("parameters", {})
     if not isinstance(parameters, dict):
         raise SchemaError("parameters", "expected an object")
-    _validate_parameters(subcommand, parameters, measures)
+    _validate_parameters(subcommand, parameters, measures, kernel)
     return ExperimentConfig(
         subcommand=subcommand,
         seed=seed,
@@ -461,15 +501,7 @@ def _run_minimax(config):
 
 def _run_posterior_sim(config):
     params = config.parameters
-    mcmc = params.get("mcmc", {})
-    chain_config = MCMCConfig(
-        steps=mcmc.get("steps", MCMCConfig().steps),
-        burn_fraction=mcmc.get("burn_fraction", MCMCConfig().burn_fraction),
-        initial_scale=mcmc.get("initial_scale", MCMCConfig().initial_scale),
-    )
-    prior = None
-    if "prior_box" in params:
-        prior = PriorSpec(config.kernel, np.asarray(params["prior_box"], dtype=float))
+    chain_config, prior = _chain_specs(params, config.kernel)
     report = contraction_experiment(
         config.kernel,
         config.measures[0],

@@ -9,6 +9,7 @@ optimal-transport distance with an exact transportation LP.
 import itertools
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment, linprog
@@ -17,7 +18,48 @@ from .errors import InvalidMeasure, InvalidParameter, MismatchedSupportSize
 
 WEIGHT_TOL = 1e-12
 TIE_TOL = 1e-12
-BRUTE_FORCE_MAX = 7
+PERMUTATION_MAX = 7
+
+
+def _min_gap(atoms):
+    """Smallest pairwise Euclidean gap between the rows of a (k, q) array;
+    inf for a single row."""
+    diff = atoms[:, None, :] - atoms[None, :, :]
+    dists = np.sqrt((diff**2).sum(axis=2))
+    np.fill_diagonal(dists, np.inf)
+    return float(dists.min())
+
+
+def measure_fault(atoms, weights):
+    """The first violated invariant of (k, q) atoms and (k,) weights as a
+    message, or None for a valid measure: finite atoms, positive weights
+    summing to 1 within WEIGHT_TOL, pairwise distinct atoms."""
+    if not np.all(np.isfinite(atoms)):
+        return "atom coordinates must be finite"
+    if not np.all(weights > 0):
+        return "weights must be strictly positive"
+    if abs(weights.sum() - 1.0) > WEIGHT_TOL:
+        return f"weights must sum to 1 within {WEIGHT_TOL}; got {weights.sum()!r}"
+    if _min_gap(atoms) <= 0.0:
+        return "atoms must be pairwise distinct"
+    return None
+
+
+@lru_cache(maxsize=None)
+def permutation_table(k):
+    """Every permutation of range(k) as a read-only (k!, k) array, rows in
+    lexicographic order. Callers keep k <= PERMUTATION_MAX, which bounds
+    the cache."""
+    table = np.array(list(itertools.permutations(range(k))))
+    table.flags.writeable = False
+    return table
+
+
+def canonical_order(atoms):
+    """Indices that sort atoms of shape (..., k, q) lexicographically by
+    coordinates along the k axis."""
+    keys = tuple(atoms[..., col] for col in range(atoms.shape[-1] - 1, -1, -1))
+    return np.lexsort(keys, axis=-1)
 
 
 @dataclass(frozen=True)
@@ -36,30 +78,15 @@ class MixingMeasure:
         weights = np.asarray(self.weights, dtype=float).reshape(-1)
         if weights.shape[0] != atoms.shape[0]:
             raise InvalidMeasure("weights length must equal the atom count")
-        if not np.all(np.isfinite(atoms)):
-            raise InvalidMeasure("atom coordinates must be finite")
-        if not np.all(weights > 0):
-            raise InvalidMeasure("weights must be strictly positive")
-        if abs(weights.sum() - 1.0) > WEIGHT_TOL:
-            raise InvalidMeasure(
-                f"weights must sum to 1 within {WEIGHT_TOL}; got {weights.sum()!r}"
-            )
-        rho = np.inf
-        k = atoms.shape[0]
-        if k > 1:
-            diff = atoms[:, None, :] - atoms[None, :, :]
-            dists = np.sqrt((diff**2).sum(axis=2))
-            iu = np.triu_indices(k, 1)
-            rho = float(dists[iu].min())
-            if rho <= 0.0:
-                raise InvalidMeasure("atoms must be pairwise distinct")
+        fault = measure_fault(atoms, weights)
+        if fault is not None:
+            raise InvalidMeasure(fault)
         atoms = atoms.copy()
         weights = weights.copy()
         atoms.flags.writeable = False
         weights.flags.writeable = False
         object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "_rho", rho)
 
     @property
     def k(self):
@@ -72,7 +99,7 @@ class MixingMeasure:
     @property
     def rho(self):
         """Minimum pairwise atom gap (inf for a single atom)."""
-        return self._rho
+        return _min_gap(self.atoms)
 
     def to_json(self):
         return json.dumps(
@@ -179,8 +206,8 @@ def optimal_matching(G, G0):
 
     unique=True either by the half-gap certificate (cost < rho(G0)/2, which
     also makes the matching optimal for every sequence length) or by an
-    exhaustive tie scan (k <= 7). Ties return the lexicographically smallest
-    optimal permutation with unique=False.
+    exhaustive tie scan (k <= PERMUTATION_MAX). Ties return the
+    lexicographically smallest optimal permutation with unique=False.
     """
     _check_same_k(G, G0)
     cost = _atom_dist_matrix(G0, G) + _weight_diff_matrix(G0, G)
@@ -191,22 +218,16 @@ def optimal_matching(G, G0):
         return MatchingResult((0,), value, True)
     if value < G0.rho / 2.0 - TIE_TOL:
         return MatchingResult(perm, value, True)
-    if k <= BRUTE_FORCE_MAX:
-        idx = np.arange(k)
-        best = []
-        for cand in itertools.permutations(range(k)):
-            total = float(cost[idx, list(cand)].sum())
-            if total < value - TIE_TOL:
-                value, best = total, [cand]
-            elif total <= value + TIE_TOL:
-                best.append(cand)
-        best.sort()
-        return MatchingResult(tuple(best[0]), value, len(best) == 1)
+    if k <= PERMUTATION_MAX:
+        table = permutation_table(k)
+        totals = cost[np.arange(k), table].sum(axis=1)
+        ties = np.flatnonzero(np.abs(totals - value) <= TIE_TOL)
+        best = tuple(int(i) for i in table[ties[0]])
+        return MatchingResult(best, value, ties.size == 1)
     return MatchingResult(perm, value, False)
 
 
 def canonicalize(G):
     """Reorder atoms lexicographically by coordinates; idempotent."""
-    keys = tuple(G.atoms[:, col] for col in range(G.q - 1, -1, -1))
-    order = np.lexsort(keys)
+    order = canonical_order(G.atoms)
     return MixingMeasure(G.atoms[order], G.weights[order])

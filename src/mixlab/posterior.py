@@ -21,7 +21,15 @@ from .errors import (
     InvalidParameter,
 )
 from .kernels import logsumexp
-from .measures import MixingMeasure, canonicalize
+from .measures import (
+    PERMUTATION_MAX,
+    MixingMeasure,
+    canonical_order,
+    distance_DN,
+    measure_fault,
+    optimal_matching,
+    permutation_table,
+)
 from .products import ExchangeableDataset, sample_dataset
 from .rng import stream
 
@@ -38,7 +46,6 @@ QUANTILE_LEVELS = (0.5, 0.9, 0.95)
 QUANTILE_KEYS = ("q50", "q90", "q95")
 SLOPE_Z = 1.96
 LOG_FLOOR = 1e-300
-ENUMERATION_MAX = 6
 
 
 @dataclass(frozen=True)
@@ -143,9 +150,6 @@ class Chain:
             raise InvalidParameter("acceptance rate must lie strictly in (0, 1)")
         object.__setattr__(self, "draws", tuple(self.draws))
         object.__setattr__(self, "scale_trace", tuple(self.scale_trace))
-
-    def __len__(self):
-        return len(self.draws)
 
 
 def prior_sample(prior, k0, rng):
@@ -269,10 +273,7 @@ def mcmc_run(dataset, kernel, prior, k0, config, rng):
 
     start = prior_sample(prior, k0, rng)
     atoms = start.atoms.copy()
-    if k0 > 1:
-        u = np.log(start.weights[:-1] / start.weights[-1])
-    else:
-        u = np.zeros(0)
+    u = np.log(start.weights[:-1] / start.weights[-1])
     weights, logw = _alr_to_weights(u)
     current = loglik(atoms, logw) + logw.sum()
 
@@ -282,7 +283,8 @@ def mcmc_run(dataset, kernel, prior, k0, config, rng):
     accepted = 0
     window_accepted = 0
     consecutive_rejects = 0
-    draws = []
+    kept_atoms = np.empty((config.steps - burn, k0, prior.q))
+    kept_weights = np.empty((config.steps - burn, k0))
 
     for step in range(config.steps):
         noise_atoms = rng.normal(size=atoms.shape)
@@ -294,21 +296,15 @@ def mcmc_run(dataset, kernel, prior, k0, config, rng):
         )
         prop_u = u + 2.0 * scale * noise_u
         prop_weights, prop_logw = _alr_to_weights(prop_u)
-        try:
-            MixingMeasure(prop_atoms, prop_weights)
+        accept = False
+        if measure_fault(prop_atoms, prop_weights) is None:
             proposal = loglik(prop_atoms, prop_logw) + prop_logw.sum()
-            if current == float("-inf"):
-                accept = True
-            else:
-                accept = log_uniform < proposal - current
-        except InvalidMeasure:
-            accept = False
+            accept = current == -math.inf or log_uniform < proposal - current
 
         if accept:
             atoms = prop_atoms
             u = prop_u
             weights = prop_weights
-            logw = prop_logw
             current = proposal
             accepted += 1
             window_accepted += 1
@@ -335,10 +331,16 @@ def mcmc_run(dataset, kernel, prior, k0, config, rng):
             trace.append((step + 1, scale))
 
         if step >= burn:
-            draws.append(canonicalize(MixingMeasure(atoms, weights)))
+            kept_atoms[step - burn] = atoms
+            kept_weights[step - burn] = weights
 
+    order = canonical_order(kept_atoms)
+    kept_atoms = np.take_along_axis(kept_atoms, order[:, :, None], axis=1)
+    kept_weights = np.take_along_axis(kept_weights, order, axis=1)
     return Chain(
-        draws=tuple(draws),
+        draws=tuple(
+            MixingMeasure(a, w) for a, w in zip(kept_atoms, kept_weights)
+        ),
         acceptance_rate=accepted / config.steps,
         scale_trace=tuple(trace),
         seed=seed,
@@ -351,28 +353,33 @@ def _matched_errors(draws, G0, N):
     The mixed metric minimizes over matchings on its own; the atom and
     weight errors are the two components of the single best matching of
     each draw to the truth, so one matching explains all three numbers.
-    Small support sizes enumerate permutations in one vectorized pass; the
-    result is identical to the assignment-solver distances.
+    Support sizes up to PERMUTATION_MAX scan every permutation, one
+    vectorized pass over the draws per permutation; the result equals the
+    assignment-solver distances up to rounding.
     """
     k = G0.k
     n = len(draws)
-    atoms = np.stack([G.atoms for G in draws])
-    weights = np.stack([G.weights for G in draws])
-    if k <= ENUMERATION_MAX:
-        perms = list(itertools.permutations(range(k)))
-        atom_costs = np.empty((n, len(perms)))
-        weight_costs = np.empty((n, len(perms)))
-        for idx, perm in enumerate(perms):
+    if k <= PERMUTATION_MAX:
+        atoms = np.stack([G.atoms for G in draws])
+        weights = np.stack([G.weights for G in draws])
+        root_n = math.sqrt(float(N))
+        d_mix = np.full(n, np.inf)
+        best = np.full(n, np.inf)
+        d_atom = np.empty(n)
+        d_weight = np.empty(n)
+        for perm in permutation_table(k):
             diff = atoms[:, perm, :] - G0.atoms[None, :, :]
-            atom_costs[:, idx] = np.sqrt((diff**2).sum(axis=2)).sum(axis=1)
-            weight_costs[:, idx] = np.abs(
+            atom_cost = np.sqrt((diff**2).sum(axis=2)).sum(axis=1)
+            weight_cost = np.abs(
                 weights[:, perm] - G0.weights[None, :]
             ).sum(axis=1)
-        mixed = math.sqrt(float(N)) * atom_costs + weight_costs
-        best = (atom_costs + weight_costs).argmin(axis=1)
-        rows = np.arange(n)
-        return mixed.min(axis=1), atom_costs[rows, best], weight_costs[rows, best]
-    from .measures import distance_DN, optimal_matching
+            np.minimum(d_mix, root_n * atom_cost + weight_cost, out=d_mix)
+            total = atom_cost + weight_cost
+            better = total < best
+            best[better] = total[better]
+            d_atom[better] = atom_cost[better]
+            d_weight[better] = weight_cost[better]
+        return d_mix, d_atom, d_weight
 
     d_mix = np.empty(n)
     d_atom = np.empty(n)
@@ -490,8 +497,9 @@ def contraction_experiment(
     error quantiles; then fits the log weight-error median against the log
     sequence count and the log atom-error median against the log total
     observation count. Every (size, replicate) task derives its stream
-    from the master seed and its label, so the worker count and execution
-    order never change the report.
+    from the master seed and its label, so execution order never changes
+    the report. Chains run one after another in the calling process;
+    ``workers`` is accepted and has no effect.
     """
     if isinstance(rng, (int, np.integer)):
         master = int(rng)
@@ -550,13 +558,7 @@ def contraction_experiment(
                 row[f"{metric}_{key}"] = summary[metric][key]
         return row
 
-    if workers and workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(run_task, tasks))
-    else:
-        rows = [run_task(task) for task in tasks]
+    rows = [run_task(task) for task in tasks]
 
     slopes = {
         "d_p_vs_m": _ols_loglog(

@@ -2,7 +2,6 @@
 densities, dataset sampling, permutation-minimized divergence upper bounds,
 and automatic exact/quadrature/Monte-Carlo divergence estimation."""
 
-import itertools
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
@@ -26,7 +25,7 @@ from .kernels import (
     integrate_piecewise,
     logsumexp,
 )
-from .measures import BRUTE_FORCE_MAX
+from .measures import PERMUTATION_MAX, permutation_table
 from .rng import CHUNK, chunk_sizes, chunk_stream
 
 MC_DEFAULT_BUDGET = 10**6
@@ -182,9 +181,9 @@ def _pairwise_divergence(kernel, G, G2, which):
 def _check_upper_bound_inputs(G, G2, N):
     if G.k != G2.k:
         raise MismatchedSupportSize(f"support sizes {G.k} != {G2.k}")
-    if G.k > BRUTE_FORCE_MAX:
+    if G.k > PERMUTATION_MAX:
         raise BudgetExceeded(
-            f"exact permutation search limited to k <= {BRUTE_FORCE_MAX}"
+            f"exact permutation search limited to k <= {PERMUTATION_MAX}"
         )
     if not (isinstance(N, (int, np.integer)) and N >= 1):
         raise InvalidParameter("N must be a positive integer")
@@ -192,14 +191,12 @@ def _check_upper_bound_inputs(G, G2, N):
 
 def _min_over_matchings(G, G2, pair, scale, weight_term):
     """min over atom matchings of scale * (largest matched pairwise value)
-    + weight_term(total weight discrepancy of the matching)."""
-    best = np.inf
-    for perm in itertools.permutations(range(G.k)):
-        idx = np.array(perm)
-        atom_term = scale * pair[idx, np.arange(G.k)].max()
-        gap = np.abs(G.weights[idx] - G2.weights).sum()
-        best = min(best, atom_term + weight_term(gap))
-    return best
+    + weight_term(total weight discrepancy of the matching); weight_term
+    takes the array of discrepancies, one per matching."""
+    table = permutation_table(G.k)
+    atom_term = scale * pair[table, np.arange(G.k)].max(axis=1)
+    gap = np.abs(G.weights[table] - G2.weights).sum(axis=1)
+    return float((atom_term + weight_term(gap)).min())
 
 
 def hellinger_upper_bound(G, G2, kernel, N):
@@ -208,7 +205,7 @@ def hellinger_upper_bound(G, G2, kernel, N):
     _check_upper_bound_inputs(G, G2, N)
     H = _pairwise_divergence(kernel, G, G2, "hellinger")
     return _min_over_matchings(
-        G, G2, H, math.sqrt(N), lambda gap: math.sqrt(0.5 * gap)
+        G, G2, H, math.sqrt(N), lambda gap: np.sqrt(0.5 * gap)
     )
 
 

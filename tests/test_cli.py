@@ -1,12 +1,16 @@
 """Tests for config parsing, subcommand dispatch, and report emission."""
 
+import copy
 import csv
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 from click.testing import CliRunner
 
+import mixlab
 from mixlab.cli import main
 from mixlab.errors import SchemaError
 from mixlab.lab import ExperimentConfig, parse_config, run, run_with_overrides
@@ -450,3 +454,60 @@ class TestCLI:
             main, ["distance", "--config", str(tmp_path / "nope.json")]
         )
         assert result.exit_code != 0
+
+
+POSTERIOR_SIM = {
+    "subcommand": "posterior-sim",
+    "seed": 1,
+    "kernel": {"family": "bernoulli"},
+    "measures": [{"atoms": [[0.25], [0.75]], "weights": [0.4, 0.6]}],
+    "parameters": {
+        "m_grid": [15, 30],
+        "length_law": ["constant", 3],
+        "replicates": 2,
+        "mcmc": {"steps": 200},
+    },
+}
+
+
+def _posterior_sim_with(**changes):
+    doc = copy.deepcopy(POSTERIOR_SIM)
+    for key, value in changes.items():
+        if key.startswith("mcmc_"):
+            doc["parameters"]["mcmc"][key[len("mcmc_"):]] = value
+        else:
+            doc["parameters"][key] = value
+    return doc
+
+
+CONFIG_FAULTS = {
+    "mcmc_not_object": _posterior_sim_with(mcmc=5),
+    "burn_fraction_string": _posterior_sim_with(mcmc_burn_fraction="x"),
+    "prior_box_string": _posterior_sim_with(prior_box="x"),
+    "misspelt_mcmc_key": _posterior_sim_with(mcmc_stepz=10),
+    "minimax_empty_m": {
+        "subcommand": "minimax",
+        "seed": 1,
+        "parameters": {"m": [], "N": 4, "gamma": 1.0, "beta0": 1.0, "a": 1.0},
+    },
+}
+
+
+class TestConfigFaults:
+    @pytest.mark.parametrize("name", sorted(CONFIG_FAULTS))
+    def test_fault_exits_with_error_line(self, tmp_path, name):
+        doc = CONFIG_FAULTS[name]
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(doc))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.path.dirname(os.path.dirname(mixlab.__file__))
+        proc = subprocess.run(
+            [
+                sys.executable, "-m", "mixlab.cli", doc["subcommand"],
+                "--config", str(config), "--out", str(tmp_path / "out"),
+            ],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error:")
+        assert "Traceback" not in proc.stderr

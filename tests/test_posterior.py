@@ -1,5 +1,6 @@
 """Tests for the posterior sampler and the contraction experiment."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -27,7 +28,7 @@ from mixlab.posterior import (
     posterior_error_summary,
     prior_sample,
 )
-from mixlab.products import ExchangeableDataset
+from mixlab.products import ExchangeableDataset, sample_dataset
 
 BERN = BernoulliKernel()
 GAUSS = GaussianLocationKernel(1.0)
@@ -220,7 +221,7 @@ class TestMCMCRun:
         config = MCMCConfig(steps=2000)
         a = mcmc_run(CONJ_DATA, BERN, UNIT_PRIOR, 1, config, 7)
         b = mcmc_run(CONJ_DATA, BERN, UNIT_PRIOR, 1, config, 7)
-        assert len(a) == len(b)
+        assert len(a.draws) == len(b.draws)
         for ga, gb in zip(a.draws, b.draws):
             assert np.array_equal(ga.atoms, gb.atoms)
             assert np.array_equal(ga.weights, gb.weights)
@@ -229,6 +230,41 @@ class TestMCMCRun:
             not np.array_equal(ga.atoms, gc.atoms)
             for ga, gc in zip(a.draws, c.draws)
         )
+
+    @pytest.mark.parametrize(
+        "family, digest",
+        [
+            (
+                "bernoulli",
+                "3590d5f7a63b44f8e770e334fe29d1da9ec5926e8f4a4331a76d39200401296a",
+            ),
+            (
+                "gaussian",
+                "764457c57d6f79d6e5f0cca1cfe8ac446f3bb766dbc0a12085a64257a8141216",
+            ),
+        ],
+    )
+    def test_pinned_chain_stream(self, family, digest):
+        # The digests pin the chain stream: a change in which proposals are
+        # accepted, or in the order draws are stored, changes them.
+        if family == "bernoulli":
+            kernel, prior, seed = BERN, UNIT_PRIOR, 62
+            G0 = MixingMeasure(np.array([[0.25], [0.75]]), [0.4, 0.6])
+            rng = np.random.default_rng(61)
+            lengths = [3] * 40
+        else:
+            kernel, prior, seed = GAUSS, PriorSpec(GAUSS, np.array([[-3.0, 3.0]])), 64
+            G0 = MixingMeasure(np.array([[-1.0], [1.0]]), [0.4, 0.6])
+            rng = np.random.default_rng(63)
+            lengths = rng.integers(2, 6, size=30)
+        data = sample_dataset(G0, kernel, lengths, rng)
+        chain = mcmc_run(data, kernel, prior, 2, MCMCConfig(steps=600), seed)
+        h = hashlib.sha256()
+        h.update(np.stack([G.atoms for G in chain.draws]).astype("<f8").tobytes())
+        h.update(np.stack([G.weights for G in chain.draws]).astype("<f8").tobytes())
+        h.update(repr(chain.acceptance_rate).encode())
+        h.update(repr(chain.scale_trace).encode())
+        assert h.hexdigest() == digest
 
     def test_detailed_balance_toy_marginal(self):
         # Beta(2, 2) posterior on a symmetric box: mass below 1/2 is 1/2
@@ -331,14 +367,15 @@ class TestPosteriorErrorSummary:
         assert summary["D_N"]["q90"] == pytest.approx(direct[1], abs=1e-12)
         assert summary["D_N"]["q95"] == pytest.approx(direct[2], abs=1e-12)
 
-    def test_component_errors_come_from_one_matching(self):
+    @pytest.mark.parametrize("k", [3, 7])
+    def test_component_errors_come_from_one_matching(self, k):
         from mixlab.measures import optimal_matching
 
         rng = np.random.default_rng(23)
         prior = PriorSpec(BERN, np.array([[0.05, 0.95]]))
-        G0 = canonicalize(prior_sample(prior, 3, rng))
+        G0 = canonicalize(prior_sample(prior, k, rng))
         draws = tuple(
-            canonicalize(prior_sample(prior, 3, rng)) for _ in range(60)
+            canonicalize(prior_sample(prior, k, rng)) for _ in range(60)
         )
         chain = Chain(
             draws=draws, acceptance_rate=0.5, scale_trace=((0, 0.25),),
@@ -355,7 +392,10 @@ class TestPosteriorErrorSummary:
             weight_err.append(
                 float(np.abs(G.weights[perm] - G0.weights).sum())
             )
-        for key, values in (("d_theta", atom_err), ("d_p", weight_err)):
+        mixed = [distance_DN(G, G0, 4.0) for G in draws]
+        for key, values in (
+            ("D_N", mixed), ("d_theta", atom_err), ("d_p", weight_err)
+        ):
             direct = np.quantile(values, [0.5, 0.9, 0.95])
             for q, v in zip(("q50", "q90", "q95"), direct):
                 assert summary[key][q] == pytest.approx(v, abs=1e-12)
