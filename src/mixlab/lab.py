@@ -31,6 +31,7 @@ from .measures import (
 from .posterior import (
     MCMCConfig,
     PriorSpec,
+    _resolve_length_law,
     contraction_experiment,
 )
 from .probes import (
@@ -53,6 +54,7 @@ SUBCOMMANDS = (
 )
 KERNEL_REQUIRED = {"divergence", "identify", "probe", "posterior-sim"}
 PROBE_NAMES = ("inverse_ratio", "impact_Dr", "curvature_locscale", "sqrtN_sharpness")
+WITNESS_A = [1.0, 2.0]
 
 
 @dataclass(frozen=True)
@@ -149,10 +151,21 @@ def _chain_specs(params, kernel):
         raise SchemaError(path, str(err)) from err
 
 
+def _values(params, key, default=None):
+    """A parameter given as one value or a list, as a nonempty list."""
+    values = params.get(key, default)
+    values = values if isinstance(values, list) else [values]
+    if not values:
+        raise SchemaError(f"parameters.{key}", "expected at least one value")
+    return values
+
+
 def _validate_parameters(subcommand, params, measures, kernel):
     if subcommand == "distance":
         if len(measures) < 2:
             raise SchemaError("measures", "distance needs two measures")
+        if params.get("metrics") == []:
+            raise SchemaError("parameters.metrics", "expected at least one metric")
         for i, metric in enumerate(params.get("metrics", [])):
             path = f"parameters.metrics[{i}]"
             if not isinstance(metric, dict):
@@ -173,10 +186,7 @@ def _validate_parameters(subcommand, params, measures, kernel):
     elif subcommand == "witness":
         if len(measures) != 1:
             raise SchemaError("measures", "witness needs exactly one measure")
-        values = params.get("a", [1.0, 2.0])
-        if not isinstance(values, list):
-            values = [values]
-        for i, a in enumerate(values):
+        for i, a in enumerate(_values(params, "a", WITNESS_A)):
             if _as_number(a, f"parameters.a[{i}]") <= 0:
                 raise SchemaError(f"parameters.a[{i}]", "must be positive")
     elif subcommand == "probe":
@@ -203,10 +213,7 @@ def _validate_parameters(subcommand, params, measures, kernel):
         for key in ("m", "N", "gamma", "beta0", "a"):
             _require(params, key, f"parameters.{key}")
         for key in ("m", "N"):
-            values = params[key]
-            if values == []:
-                raise SchemaError(f"parameters.{key}", "expected at least one value")
-            for i, v in enumerate(values if isinstance(values, list) else [values]):
+            for i, v in enumerate(_values(params, key)):
                 _as_number(v, f"parameters.{key}[{i}]")
         for key in ("gamma", "beta0", "a"):
             _as_number(params[key], f"parameters.{key}")
@@ -221,6 +228,12 @@ def _validate_parameters(subcommand, params, measures, kernel):
         law = _require(params, "length_law", "parameters.length_law")
         if not isinstance(law, list) or not law:
             raise SchemaError("parameters.length_law", "expected a nonempty list")
+        for i, n in enumerate(law[1:], start=1):
+            _as_int(n, f"parameters.length_law[{i}]", minimum=1)
+        try:
+            _resolve_length_law(law)
+        except InvalidParameter as err:
+            raise SchemaError("parameters.length_law", str(err)) from err
         _as_int(params.get("replicates", 1), "parameters.replicates", minimum=1)
         _chain_specs(params, kernel)
 
@@ -380,9 +393,7 @@ def _run_identify(config):
 
 def _run_witness(config):
     G = config.measures[0]
-    values = config.parameters.get("a", [1.0, 2.0])
-    if not isinstance(values, list):
-        values = [values]
+    values = _values(config.parameters, "a", WITNESS_A)
     from .kernels import BernoulliKernel
 
     kernel = BernoulliKernel()
@@ -477,8 +488,7 @@ def _run_probe(config):
 
 def _run_minimax(config):
     params = config.parameters
-    m_values = params["m"] if isinstance(params["m"], list) else [params["m"]]
-    N_values = params["N"] if isinstance(params["N"], list) else [params["N"]]
+    m_values, N_values = _values(params, "m"), _values(params, "N")
     gamma, beta0, a = params["gamma"], params["beta0"], params["a"]
     rows = []
     for m in m_values:

@@ -18,19 +18,18 @@ from .errors import (
     QuadratureNonConvergence,
 )
 from .kernels import (
-    _distance_integrand,
+    TAIL_EPS,
     _gl_nodes,
     _segment_boundaries,
     divergence_numeric,
-    integrate_piecewise,
     logsumexp,
+    mixture_divergence,
 )
 from .measures import PERMUTATION_MAX, permutation_table
 from .rng import CHUNK, chunk_sizes, chunk_stream
 
 MC_DEFAULT_BUDGET = 10**6
 MC_MIN_BUDGET = 10**4
-TAIL_EPS = 1e-13
 TENSOR_TOL = 1e-7
 TENSOR_BLOCK_ENTRIES = 2**22
 
@@ -78,6 +77,15 @@ class ProductMixtureModel:
         return out
 
 
+def _checked_sequence(values):
+    arr = np.asarray(values, dtype=float).reshape(-1)
+    if arr.size < 1:
+        raise InvalidParameter("every sequence needs at least one value")
+    if not np.all(np.isfinite(arr)):
+        raise InvalidParameter("sequence values must be finite")
+    return arr
+
+
 @dataclass
 class ExchangeableDataset:
     """m sequences of per-sequence lengths; the generator seed is recorded
@@ -87,14 +95,7 @@ class ExchangeableDataset:
     seed: object = None
 
     def __post_init__(self):
-        seqs = []
-        for s in self.sequences:
-            arr = np.asarray(s, dtype=float).reshape(-1)
-            if arr.size < 1:
-                raise InvalidParameter("every sequence needs at least one value")
-            if not np.all(np.isfinite(arr)):
-                raise InvalidParameter("sequence values must be finite")
-            seqs.append(arr)
+        seqs = [_checked_sequence(s) for s in self.sequences]
         if not seqs:
             raise InvalidParameter("dataset needs at least one sequence")
         self.sequences = seqs
@@ -122,12 +123,25 @@ class ExchangeableDataset:
 
     @classmethod
     def from_jsonl(cls, path):
+        """One {"seq": [numbers]} object per line; InvalidParameter names the
+        path and the 1-based line of the first bad line."""
         seqs = []
         with open(path) as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    seqs.append(json.loads(line)["seq"])
+            for number, line in enumerate(fh, start=1):
+                if not line.strip():
+                    continue
+                try:
+                    seq = json.loads(line)["seq"]
+                    if not all(type(v) in (int, float) for v in seq):
+                        raise TypeError("seq values must be numbers")
+                    seqs.append(_checked_sequence(seq))
+                except json.JSONDecodeError as err:
+                    raise InvalidParameter(f"{path}, line {number}: {err.msg}") from err
+                except KeyError as err:
+                    message = f"{path}, line {number}: no field {err}"
+                    raise InvalidParameter(message) from err
+                except (TypeError, InvalidParameter) as err:
+                    raise InvalidParameter(f"{path}, line {number}: {err}") from err
         return cls(sequences=seqs, seed=None)
 
 
@@ -250,28 +264,6 @@ def _exact_bernoulli_estimate(G, G2, N, which):
         )
     return DivergenceEstimate(
         value=min(value, 1.0), stderr=0.0, method="exact-enumeration", n=N + 1
-    )
-
-
-def _quadrature_estimate_n1(G, G2, kernel, which):
-    atoms = np.concatenate([G.atoms, G2.atoms])
-    evals = [0]
-
-    def mixtures(x):
-        evals[0] += 1
-        dens = kernel.density(x, atoms)
-        return G.weights @ dens[: G.k], G2.weights @ dens[G.k :]
-
-    value = integrate_piecewise(
-        _distance_integrand(which, mixtures), _segment_boundaries(kernel, atoms)
-    )
-    if which == "hellinger":
-        value = math.sqrt(max(value, 0.0))
-    return DivergenceEstimate(
-        value=min(max(value, 0.0), 1.0),
-        stderr=0.0,
-        method="quadrature",
-        n=evals[0],
     )
 
 
@@ -403,7 +395,12 @@ def estimate_divergence(
     if kernel.data_space == "binary":
         return _exact_bernoulli_estimate(G, G2, N, which)
     if N == 1:
-        return _quadrature_estimate_n1(G, G2, kernel, which)
+        value, nodes = mixture_divergence(
+            kernel, G.atoms, G.weights, G2.atoms, G2.weights, which
+        )
+        return DivergenceEstimate(
+            value=min(value, 1.0), stderr=0.0, method="quadrature", n=nodes
+        )
     if N == 2:
         return _quadrature_estimate_n2(G, G2, kernel, which)
     if budget < MC_MIN_BUDGET:

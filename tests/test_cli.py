@@ -490,6 +490,15 @@ CONFIG_FAULTS = {
         "seed": 1,
         "parameters": {"m": [], "N": 4, "gamma": 1.0, "beta0": 1.0, "a": 1.0},
     },
+    "length_law_string_length": _posterior_sim_with(length_law=["constant", "x"]),
+    "length_law_list_bound": _posterior_sim_with(length_law=["uniform", 3, [5]]),
+    "witness_empty_a": {
+        "subcommand": "witness",
+        "seed": 1,
+        "measures": [{"atoms": [[0.3], [0.7]], "weights": [0.5, 0.5]}],
+        "parameters": {"a": []},
+    },
+    "distance_empty_metrics": dict(WEIGHT_SHIFT, parameters={"metrics": []}),
 }
 
 

@@ -32,3 +32,21 @@ def unused_imports(path):
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_module_level_imports_are_used(path):
     assert unused_imports(path) == []
+
+
+def integrate_imports(path):
+    """Modules named by import statements of path that are scipy.integrate."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            found.append(node.module)
+            found += [f"{node.module}.{alias.name}" for alias in node.names]
+    return sorted(name for name in found if name.startswith("scipy.integrate"))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_no_second_quadrature_engine(path):
+    assert integrate_imports(path) == []

@@ -1,8 +1,8 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.stats import beta as beta_dist
 from scipy.stats import norm
 
@@ -24,7 +24,7 @@ from mixlab.kernels import (
     UniformKernel,
     divergence_numeric,
     hellinger_expfam,
-    integrate_piecewise,
+    integrate_panels,
     kernel_from_spec,
     logsumexp,
     moment_map,
@@ -58,7 +58,12 @@ class TestDensities:
     def test_normalization(self, kernel, theta):
         lo, hi = kernel.support(theta)
         pts = [lo] + [p for p in kernel.breakpoints(theta) if lo < p < hi] + [hi]
-        total = integrate_piecewise(lambda x: kernel.density(x, theta), pts)
+        total = sum(
+            quad(
+                lambda x: kernel.density(x, theta), a, b, epsabs=1e-10, epsrel=1e-10
+            )[0]
+            for a, b in zip(pts[:-1], pts[1:])
+        )
         assert total == pytest.approx(1.0, abs=1e-8)
 
     def test_bernoulli_normalization(self):
@@ -333,15 +338,19 @@ class TestClosedForms:
         with pytest.raises(InvalidParameter):
             divergence_numeric(BernoulliKernel(), [0.3], [0.4], "chi2")
 
+    def test_gamma_tv_closed_form(self):
+        tv = divergence_numeric(GammaKernel(), [2.0, 1.0], [3.0, 1.0], "tv")
+        assert abs(tv - 2.0 * math.exp(-2.0)) < 1e-12
+
+    def test_gamma_small_shape_hellinger(self):
+        ker = GammaKernel()
+        closed = hellinger_expfam(ker, [0.1, 1.0], [0.6, 1.3])
+        numeric = divergence_numeric(ker, [0.1, 1.0], [0.6, 1.3], "hellinger")
+        assert abs(closed - numeric) < 1e-10
+
     def test_quadrature_failure_raises(self):
-        ker = GaussianLocationKernel(1.0)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            with pytest.raises(QuadratureNonConvergence):
-                integrate_piecewise(
-                    lambda x: math.sin(1.0 / (abs(x) + 1e-12)), [0.0, 1.0]
-                )
-        del ker
+        with pytest.raises(QuadratureNonConvergence):
+            integrate_panels(lambda x: np.sin(1.0 / (np.abs(x) + 1e-12)), [0.0, 1.0])
 
 
 class TestGradients:
@@ -444,10 +453,13 @@ class TestMomentMaps:
         ker = BetaPushforwardKernel(0.4)
         theta = np.array([0.35, 2.8, 6.5])
         for row, j in enumerate((1, 2, 3)):
-            numeric = integrate_piecewise(
+            numeric = quad(
                 lambda z, jj=j: z ** (jj + 1) * ker.density(z, theta),
-                [0.0, 1.0],
-            )
+                0.0,
+                1.0,
+                epsabs=1e-10,
+                epsrel=1e-10,
+            )[0]
             assert ker.moment_lambda(theta)[row] == pytest.approx(numeric, abs=1e-9)
 
     def test_degenerate_xi_raises(self):

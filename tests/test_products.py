@@ -14,9 +14,11 @@ from mixlab.errors import (
     InvalidParameter,
     LengthMismatch,
     MismatchedSupportSize,
+    QuadratureNonConvergence,
 )
 from mixlab.kernels import (
     BernoulliKernel,
+    BetaPushforwardKernel,
     GammaKernel,
     GaussianLocationKernel,
     UniformKernel,
@@ -131,6 +133,22 @@ class TestSampleDataset:
         assert back.seed is None
         for a, b in zip(ds.sequences, back.sequences):
             np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize(
+        "bad_line",
+        [
+            '{"seq": [1.0, 2.0',
+            '{"values": [1.0]}',
+            '{"seq": ["a", 1.0]}',
+            '{"seq": [null]}',
+            '{"seq": []}',
+        ],
+    )
+    def test_jsonl_bad_line_names_path_and_line(self, tmp_path, bad_line):
+        path = tmp_path / "data.jsonl"
+        path.write_text('{"seq": [0.5, 1.5]}\n' + bad_line + '\n{"seq": [2.0]}\n')
+        with pytest.raises(InvalidParameter, match=r"data\.jsonl, line 2\b"):
+            ExchangeableDataset.from_jsonl(path)
 
     def test_empty_sequence_rejected(self):
         with pytest.raises(InvalidParameter):
@@ -354,6 +372,42 @@ class TestEstimateDivergence:
         G2 = MixingMeasure(np.array([[0.5]]), np.array([1.0]))
         with pytest.raises(BudgetExceeded):
             estimate_divergence(G, G2, GAUSS, 3, "tv", budget=100)
+
+    def test_gamma_mixture_tv_n1_crossings(self):
+        G = MixingMeasure(
+            np.array(
+                [
+                    [2.008876266650109, 2.9941305866309067],
+                    [3.043540093856084, 2.951097311667459],
+                ]
+            ),
+            np.array([0.5196513928733786, 0.4803486071266214]),
+        )
+        G2 = MixingMeasure(
+            np.array(
+                [
+                    [2.167751403726444, 2.994446426388437],
+                    [2.966745428333435, 3.1118301112716633],
+                ]
+            ),
+            np.array([0.43694007054811956, 0.5630599294518804]),
+        )
+        est = estimate_divergence(G, G2, GammaKernel(), 1, "tv")
+        assert abs(est.value - 0.029336104844427) < 1e-10
+
+    @pytest.mark.parametrize("which", ["tv", "hellinger"])
+    def test_unbounded_beta_density_raises_n1(self, which):
+        ker = BetaPushforwardKernel(0.891)
+        G = MixingMeasure(
+            np.array([[0.388, 4.299, 7.044], [0.405, 3.205, 5.468]]),
+            np.array([0.4, 0.6]),
+        )
+        G2 = MixingMeasure(
+            np.array([[0.495, 2.148, 6.049], [0.699, 2.928, 4.978]]),
+            np.array([0.55, 0.45]),
+        )
+        with pytest.raises(QuadratureNonConvergence):
+            estimate_divergence(G, G2, ker, 1, which)
 
     def test_uniform_n1_quadrature(self):
         ker = UniformKernel()
