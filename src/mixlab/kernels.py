@@ -180,6 +180,10 @@ class KernelFamily:
         """Closed-form divergence value, or None when unavailable."""
         return None
 
+    def sufficient_kernel(self, N):
+        """Kernel law of a 1-D sufficient statistic of N draws, or None."""
+        return None
+
     def tail_bounds(self, theta, eps):
         """Finite [lo, hi] capturing all but eps probability per tail."""
         lo, hi = self.support(np.atleast_1d(np.asarray(theta, dtype=float)))
@@ -285,6 +289,10 @@ class GaussianLocationKernel(KernelFamily):
 
     def mean(self, theta):
         return float(theta[0])
+
+    def sufficient_kernel(self, N):
+        """The sample mean, N(theta, sigma^2 / N)."""
+        return GaussianLocationKernel(self.sigma / math.sqrt(N))
 
     def tail_bounds(self, theta, eps):
         theta = self.check_theta(theta)

@@ -161,6 +161,8 @@ def _values(params, key, default=None):
 
 
 def _validate_parameters(subcommand, params, measures, kernel):
+    if "budget" in params:
+        _as_int(params["budget"], "parameters.budget", minimum=1)
     if subcommand == "distance":
         if len(measures) < 2:
             raise SchemaError("measures", "distance needs two measures")

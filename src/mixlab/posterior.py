@@ -463,16 +463,18 @@ def _ols_loglog(x, y):
 def _resolve_length_law(length_law):
     if not isinstance(length_law, (tuple, list)) or not length_law:
         raise InvalidParameter("length law must be a tuple")
-    kind = length_law[0]
+    kind, lengths = length_law[0], length_law[1:]
+    if not all(isinstance(n, (int, np.integer)) and n >= 1 for n in lengths):
+        raise InvalidParameter("length law lengths must be integers >= 1")
     if kind == "constant":
-        if len(length_law) != 2 or int(length_law[1]) < 1:
+        if len(lengths) != 1:
             raise InvalidParameter("constant length law needs one length >= 1")
-        n = int(length_law[1])
+        n = int(lengths[0])
         return n, lambda rng, m: [n] * m
     if kind == "uniform":
-        if len(length_law) != 3:
+        if len(lengths) != 2:
             raise InvalidParameter("uniform length law needs bounds (lo, hi)")
-        lo, hi = int(length_law[1]), int(length_law[2])
+        lo, hi = int(lengths[0]), int(lengths[1])
         if not 1 <= lo <= hi:
             raise InvalidParameter("uniform length bounds need 1 <= lo <= hi")
         return lo, lambda rng, m: [int(v) for v in rng.integers(lo, hi + 1, m)]

@@ -27,6 +27,7 @@ from .products import (
     MC_MIN_BUDGET,
     estimate_divergence,
     hellinger_upper_bound,
+    uses_monte_carlo,
 )
 
 DEFAULT_ELL_GRID = (10.0, 100.0, 1000.0)
@@ -191,12 +192,12 @@ def _path_measure(kernel, G0, a_prime, b_prime, ell):
 def _path_numerator(kernel, G_ell, G0, N, which, budget, seed, workers, label):
     """Divergence numerator with a pilot-based refusal for noisy cells.
 
-    When the estimator ladder would fall through to Monte Carlo, a small
-    pilot predicts the standard error at the full budget; the cell is
-    refused if that prediction exceeds a tenth of the predicted ratio,
-    since a verdict from such a cell would be noise.
+    When the estimator ladder falls through to Monte Carlo (see
+    ``uses_monte_carlo``), a small pilot predicts the standard error at the
+    full budget; the cell is refused if that prediction exceeds a tenth of
+    the predicted ratio, since a verdict from such a cell would be noise.
     """
-    if kernel.data_space != "binary" and N > 2:
+    if uses_monte_carlo(kernel, N):
         pilot = estimate_divergence(
             G_ell, G0, kernel, N, which,
             budget=MC_MIN_BUDGET, seed=seed, workers=workers,

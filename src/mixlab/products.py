@@ -1,6 +1,7 @@
 """Mixtures of product distributions over length-N exchangeable sequences:
 densities, dataset sampling, permutation-minimized divergence upper bounds,
-and automatic exact/quadrature/Monte-Carlo divergence estimation."""
+and divergence estimation by exact enumeration, sufficient reduction to a
+1-D statistic, quadrature or Monte Carlo."""
 
 import json
 import math
@@ -371,6 +372,13 @@ def _mc_estimate(G, G2, kernel, N, which, budget, seed, workers, label):
     )
 
 
+def uses_monte_carlo(kernel, N):
+    """Whether estimate_divergence falls through to Monte Carlo: a
+    continuous kernel at N > 2 with no 1-D sufficient statistic."""
+    continuous = kernel.data_space != "binary"
+    return continuous and N > 2 and kernel.sufficient_kernel(N) is None
+
+
 def estimate_divergence(
     G,
     G2,
@@ -383,8 +391,9 @@ def estimate_divergence(
     label=None,
 ):
     """TV or Hellinger between N-product mixtures; the method ladder is exact
-    success-count enumeration (binary kernels, any N), piecewise/tensor
-    quadrature (continuous, N <= 2), then balanced-mixture Monte Carlo."""
+    success-count enumeration (binary kernels, any N), reduction of N draws
+    to one draw of a 1-D sufficient statistic (which leaves TV and Hellinger
+    unchanged), quadrature at N <= 2, then balanced-mixture Monte Carlo."""
     which = which.lower()
     if which not in ("tv", "hellinger"):
         raise InvalidParameter(f"unknown divergence {which!r}")
@@ -394,14 +403,17 @@ def estimate_divergence(
         kernel.check_theta(measure.atoms)
     if kernel.data_space == "binary":
         return _exact_bernoulli_estimate(G, G2, N, which)
-    if N == 1:
-        value, nodes = mixture_divergence(
-            kernel, G.atoms, G.weights, G2.atoms, G2.weights, which
-        )
-        return DivergenceEstimate(
-            value=min(value, 1.0), stderr=0.0, method="quadrature", n=nodes
-        )
-    if N == 2:
+    if not uses_monte_carlo(kernel, N):
+        reduced = kernel.sufficient_kernel(N)
+        if reduced is not None:
+            kernel, N = reduced, 1
+        if N == 1:
+            value, nodes = mixture_divergence(
+                kernel, G.atoms, G.weights, G2.atoms, G2.weights, which
+            )
+            return DivergenceEstimate(
+                value=min(value, 1.0), stderr=0.0, method="quadrature", n=nodes
+            )
         return _quadrature_estimate_n2(G, G2, kernel, which)
     if budget < MC_MIN_BUDGET:
         raise BudgetExceeded(

@@ -480,6 +480,21 @@ def _posterior_sim_with(**changes):
     return doc
 
 
+def _probe_with_budget(budget):
+    return {
+        "subcommand": "probe",
+        "seed": 5,
+        "kernel": {"family": "gamma"},
+        "measures": [{"atoms": [[2.0, 3.0], [3.0, 3.0]], "weights": [0.5, 0.5]}],
+        "parameters": {
+            "name": "inverse_ratio",
+            "direction": [0.0, 1.5, 0.0, 0.0, -1.0, 1.0],
+            "N": 3,
+            "budget": budget,
+        },
+    }
+
+
 CONFIG_FAULTS = {
     "mcmc_not_object": _posterior_sim_with(mcmc=5),
     "burn_fraction_string": _posterior_sim_with(mcmc_burn_fraction="x"),
@@ -499,6 +514,12 @@ CONFIG_FAULTS = {
         "parameters": {"a": []},
     },
     "distance_empty_metrics": dict(WEIGHT_SHIFT, parameters={"metrics": []}),
+    "divergence_budget_string": dict(
+        TestDeterminism.MC_DOC,
+        parameters={"name": "hellinger", "N": 3, "budget": "x"},
+    ),
+    "probe_budget_negative": _probe_with_budget(-5),
+    "probe_budget_fraction": _probe_with_budget(100000.5),
 }
 
 

@@ -22,6 +22,7 @@ from mixlab.posterior import (
     ContractionReport,
     MCMCConfig,
     PriorSpec,
+    _resolve_length_law,
     contraction_experiment,
     log_posterior_unnorm,
     mcmc_run,
@@ -445,6 +446,13 @@ class TestContractionExperiment:
                 BERN, self.G0, (50, 100), ("geometric", 3), 2,
                 MCMCConfig(steps=100), 0,
             )
+
+    @pytest.mark.parametrize(
+        "law", [("constant", 2.7), ("uniform", 2.9, 3.5), ("uniform", 3, "5")]
+    )
+    def test_non_integer_lengths_rejected(self, law):
+        with pytest.raises(InvalidParameter):
+            _resolve_length_law(law)
 
     def test_nonbinary_requires_prior(self):
         G = MixingMeasure(np.array([[-0.5], [0.5]]), [0.5, 0.5])

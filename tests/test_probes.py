@@ -212,19 +212,32 @@ class TestInverseRatioProbe:
 
     def test_monte_carlo_rows_report_stderr(self):
         report = inverse_ratio_probe(
-            GAUSS, GAUSS_G0, GAUSS_DIRECTION, 3, budget=10**5, seed=11
+            GAMMA, GAMMA_G0, GAMMA_DIRECTION, 3, budget=10**5, seed=11
         )
         rows = report.series("ratio")
         assert all(row.method == "monte-carlo" for row in rows)
         assert all(row.numerator_stderr > 0.0 for row in rows)
-        assert all(0.05 < row.ratio < 0.8 for row in rows)
+        # TV cannot shrink from one observation to three
+        single = inverse_ratio_probe(GAMMA, GAMMA_G0, GAMMA_DIRECTION, 1)
+        for row, one in zip(rows, single.series("ratio")):
+            assert row.numerator >= one.numerator - 4 * row.numerator_stderr
 
     def test_variance_guard_refuses_noisy_cells(self):
-        G = MixingMeasure(np.array([[0.0], [30.0]]), [0.999, 0.001])
+        G = MixingMeasure(np.array([[2.0, 3.0], [30.0, 3.0]]), [0.999, 0.001])
         with pytest.raises(BudgetExceeded, match="predicted stderr"):
             inverse_ratio_probe(
-                GAUSS, G, [0.0, 1.0, 0.0, 0.0], 3, budget=10**4
+                GAMMA, G, [0.0, 0.0, 1.0, 0.0, 0.0, 0.0], 3, budget=10**4
             )
+
+    def test_gaussian_cells_skip_the_pilot(self):
+        # the sample mean reduces every N to the exact 1-D engine, so no
+        # pilot runs and a budget too small for Monte Carlo is never used
+        report = inverse_ratio_probe(
+            GAUSS, GAUSS_G0, GAUSS_DIRECTION, 64, budget=100
+        )
+        for row in report.series("ratio"):
+            assert row.method == "quadrature"
+            assert row.numerator_stderr == 0.0
 
 
 class TestImpactProbe:

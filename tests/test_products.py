@@ -28,6 +28,8 @@ from mixlab.products import (
     DivergenceEstimate,
     ExchangeableDataset,
     ProductMixtureModel,
+    _mc_estimate,
+    _quadrature_estimate_n2,
     bernoulli_count_probs,
     d_mh,
     estimate_divergence,
@@ -306,10 +308,10 @@ class TestEstimateDivergence:
             import numpy as np
             from mixlab.kernels import GaussianLocationKernel
             from mixlab.measures import MixingMeasure
-            from mixlab.products import estimate_divergence
+            from mixlab.products import _quadrature_estimate_n2
             G = MixingMeasure(np.array([[-1.0], [0.0], [1.2]]), [0.3, 0.3, 0.4])
             H = MixingMeasure(np.array([[-0.9], [0.1], [1.0]]), [0.35, 0.3, 0.35])
-            est = estimate_divergence(G, H, GaussianLocationKernel(1.0), 2, "tv")
+            est = _quadrature_estimate_n2(G, H, GaussianLocationKernel(1.0), "tv")
             print(est.n, est.value)
             """
         )
@@ -331,8 +333,6 @@ class TestEstimateDivergence:
         G = bern_measure([0.25, 0.6], [0.35, 0.65])
         G2 = bern_measure([0.3, 0.8], [0.5, 0.5])
         exact = estimate_divergence(G, G2, BERN, 3, "tv").value
-        from mixlab.products import _mc_estimate
-
         est = _mc_estimate(G, G2, BERN, 3, "tv", 200_000, 11, None, "test-mc")
         assert est.method == "monte-carlo"
         assert est.stderr > 0
@@ -342,16 +342,12 @@ class TestEstimateDivergence:
         G = bern_measure([0.25, 0.6], [0.35, 0.65])
         G2 = bern_measure([0.3, 0.8], [0.5, 0.5])
         exact = estimate_divergence(G, G2, BERN, 3, "hellinger").value
-        from mixlab.products import _mc_estimate
-
         est = _mc_estimate(
             G, G2, BERN, 3, "hellinger", 200_000, 13, None, "test-mc-h"
         )
         assert abs(est.value - exact) < 4 * est.stderr
 
     def test_mc_worker_invariance(self):
-        from mixlab.products import _mc_estimate
-
         G = MixingMeasure(np.array([[0.0]]), np.array([1.0]))
         G2 = MixingMeasure(np.array([[0.5]]), np.array([1.0]))
         one = _mc_estimate(G, G2, GAUSS, 3, "tv", 100_000, 5, 1, "inv")
@@ -361,17 +357,15 @@ class TestEstimateDivergence:
 
     def test_mc_identical_within_stderr(self):
         G = MixingMeasure(np.array([[0.0]]), np.array([1.0]))
-        est = estimate_divergence(
-            G, G, GAUSS, 3, "tv", budget=50_000, seed=3
-        )
+        est = _mc_estimate(G, G, GAUSS, 3, "tv", 50_000, 3, None, "divergence/tv/N3")
         assert est.method == "monte-carlo"
         assert abs(est.value) <= max(3 * est.stderr, 1e-12)
 
     def test_budget_too_small(self):
-        G = MixingMeasure(np.array([[0.0]]), np.array([1.0]))
-        G2 = MixingMeasure(np.array([[0.5]]), np.array([1.0]))
+        G = MixingMeasure(np.array([[2.0, 3.0]]), np.array([1.0]))
+        G2 = MixingMeasure(np.array([[3.0, 3.0]]), np.array([1.0]))
         with pytest.raises(BudgetExceeded):
-            estimate_divergence(G, G2, GAUSS, 3, "tv", budget=100)
+            estimate_divergence(G, G2, GammaKernel(), 3, "tv", budget=100)
 
     def test_gamma_mixture_tv_n1_crossings(self):
         G = MixingMeasure(
@@ -430,6 +424,55 @@ class TestEstimateDivergence:
             DivergenceEstimate(value=1.5, stderr=0.0, method="quadrature", n=10)
         with pytest.raises(InvalidParameter):
             DivergenceEstimate(value=0.5, stderr=0.0, method="magic", n=10)
+
+
+GAUSS3 = (
+    MixingMeasure(np.array([[-1.5], [0.0], [1.5]]), [0.3, 0.3, 0.4]),
+    MixingMeasure(np.array([[-1.2], [0.3], [1.9]]), [0.4, 0.25, 0.35]),
+)
+
+
+class TestSufficientReduction:
+    """Gaussian location cells at any N run on the law of the sample mean."""
+
+    @pytest.mark.parametrize("sigma", [1.0, 0.7])
+    @pytest.mark.parametrize("N", [1, 3, 64, 1000])
+    def test_single_atoms_match_closed_forms(self, N, sigma):
+        d = 0.3
+        G = MixingMeasure(np.array([[0.0]]), np.array([1.0]))
+        G2 = MixingMeasure(np.array([[d]]), np.array([1.0]))
+        kernel = GaussianLocationKernel(sigma)
+        tv = estimate_divergence(G, G2, kernel, N, "tv")
+        h = estimate_divergence(G, G2, kernel, N, "hellinger")
+        assert tv.method == h.method == "quadrature"
+        assert tv.stderr == h.stderr == 0.0
+        closed_tv = math.erf(math.sqrt(N) * d / (2 * math.sqrt(2) * sigma))
+        closed_h2 = -math.expm1(-N * d**2 / (8 * sigma**2))
+        assert abs(tv.value - closed_tv) < 1e-12
+        assert abs(h.value**2 - closed_h2) < 1e-12
+
+    @pytest.mark.parametrize("which", ["tv", "hellinger"])
+    def test_mixtures_match_tensor_grid_at_two(self, which):
+        G, G2 = GAUSS3
+        est = estimate_divergence(G, G2, GAUSS, 2, which)
+        tensor = _quadrature_estimate_n2(G, G2, GAUSS, which)
+        assert est.method == "quadrature"
+        assert abs(est.value - tensor.value) < 1e-7
+
+    @pytest.mark.parametrize("which", ["tv", "hellinger"])
+    @pytest.mark.parametrize("N", [3, 8, 64])
+    def test_mixtures_match_monte_carlo(self, N, which):
+        G, G2 = GAUSS3
+        est = estimate_divergence(G, G2, GAUSS, N, which, budget=100)
+        mc = _mc_estimate(G, G2, GAUSS, N, which, 100_000, 17, None, "reduce")
+        assert est.method == "quadrature"
+        assert est.stderr == 0.0
+        assert abs(est.value - mc.value) < 4 * mc.stderr
+
+    def test_other_kernels_have_no_reduction(self):
+        assert GammaKernel().sufficient_kernel(3) is None
+        assert BERN.sufficient_kernel(3) is None
+        assert GaussianLocationKernel(2.0).sufficient_kernel(4).sigma == 1.0
 
 
 class TestDmh:
