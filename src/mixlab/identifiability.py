@@ -336,7 +336,7 @@ def first_order_gram(kernel, atoms, grid_spec="auto"):
 
     A value above tolerance certifies linear independence on the grid; a
     value near zero flags a candidate first-order degeneracy. The automatic
-    grid enumerates the support for binary kernels and lays Gauss-Legendre
+    grid enumerates the points of discrete kernels and lays Gauss-Legendre
     panels over tail-truncated segments for continuous ones, doubling panel
     counts until the eigenvalue stabilizes within 1%."""
     atoms = kernel.check_theta(np.atleast_2d(atoms))
@@ -345,9 +345,9 @@ def first_order_gram(kernel, atoms, grid_spec="auto"):
         return _gram_eigenvalue(kernel, atoms, points, weights)
     if grid_spec != "auto":
         raise InvalidParameter("grid_spec must be 'auto' or a points dict")
-    if kernel.data_space == "binary":
-        points = np.array([0.0, 1.0])
-        return _gram_eigenvalue(kernel, atoms, points, np.ones(2))
+    if kernel.points is not None:
+        ones = np.ones(kernel.points.size)
+        return _gram_eigenvalue(kernel, atoms, kernel.points, ones)
     bounds = _segment_boundaries(kernel, atoms, GRID_TAIL_EPS)
     panels = GRAM_BASE_PANELS
     previous = None
@@ -394,8 +394,8 @@ def degenerate_direction_check(kernel, G0, direction, grid="auto"):
     if isinstance(grid, dict):
         points, _ = _explicit_grid(grid, need_weights=False)
     elif grid == "auto":
-        if kernel.data_space == "binary":
-            points = np.array([0.0, 1.0])
+        if kernel.points is not None:
+            points = kernel.points
         else:
             bounds = _segment_boundaries(kernel, atoms, GRID_TAIL_EPS)
             points, _ = _gl_nodes(bounds, CHECK_PANELS, CHECK_ORDER)

@@ -43,8 +43,9 @@ CROSSING_SCAN = 128
 
 @dataclass(frozen=True)
 class ExpFamilySpec:
-    """Exponential-family structure: sufficient statistic, log-partition,
-    carrier, and the parameter-to-natural-parameter map."""
+    """Vectorised exponential-family structure: stat maps points x to
+    x.shape + (d,), natural maps atoms (..., q) to (..., d), log_partition
+    and in_natural_space map (..., d) to (...), log_carrier keeps x.shape."""
 
     stat: object
     log_partition: object
@@ -53,9 +54,8 @@ class ExpFamilySpec:
     in_natural_space: object
 
     def log_density(self, x, theta):
-        eta = np.asarray(self.natural(theta), dtype=float)
-        tx = np.asarray(self.stat(x), dtype=float)
-        return tx @ eta - self.log_partition(eta) + self.log_carrier(x)
+        eta = self.natural(np.asarray(theta, dtype=float))
+        return self.stat(x) @ eta - self.log_partition(eta) + self.log_carrier(x)
 
 
 @dataclass(frozen=True)
@@ -115,10 +115,10 @@ def _central_difference(fun, theta):
 class KernelFamily:
     """Base class: a parametric family of probability densities on a data space.
 
-    Subclasses define the parameter box, the data space ("real", "binary",
-    or "unit_interval"), log densities, samplers, and where available
-    analytic gradients, closed-form divergences, and exponential-family
-    structure.
+    Subclasses define the parameter box, log densities, samplers, and where
+    available analytic gradients, closed-form divergences, exponential-family
+    structure and the law of a sufficient statistic. ``points`` is the
+    array of the support for discrete kernels and None for continuous ones.
 
     ``log_density``, ``density`` and ``grad_density`` broadcast: atoms of
     shape (..., q) against points of any shape give
@@ -129,7 +129,7 @@ class KernelFamily:
 
     name = "abstract"
     q = 0
-    data_space = "real"
+    points = None
     expfam = None
 
     def in_box(self, theta):
@@ -203,45 +203,63 @@ class KernelFamily:
 
 
 class BernoulliKernel(KernelFamily):
-    """Two-point kernel on {0, 1} with success probability theta."""
+    """Binomial(trials, theta) success count; at trials=1 the two-point
+    kernel on {0, 1}."""
 
     name = "bernoulli"
     q = 1
-    data_space = "binary"
 
-    def __init__(self):
+    def __init__(self, trials=1):
+        if not (isinstance(trials, (int, np.integer)) and trials >= 0):
+            raise InvalidParameter("trials must be a nonnegative integer")
+        self.trials = n = int(trials)
+        self.points = np.arange(n + 1, dtype=float)
         self.expfam = ExpFamilySpec(
-            stat=lambda x: np.atleast_1d(float(x)),
-            log_partition=lambda eta: float(np.logaddexp(0.0, eta[0])),
-            log_carrier=lambda x: 0.0,
-            natural=lambda th: np.array(
-                [math.log(th[0]) - math.log1p(-th[0])]
-            ),
-            in_natural_space=lambda eta: np.all(np.isfinite(eta)),
+            stat=lambda x: np.asarray(x, dtype=float)[..., None],
+            log_partition=lambda eta: n * np.logaddexp(0.0, eta[..., 0]),
+            log_carrier=self._log_binom,
+            natural=lambda th: np.log(th) - np.log1p(-th),
+            in_natural_space=lambda eta: np.isfinite(eta).all(axis=-1),
         )
+
+    def _log_binom(self, x):
+        """log(trials choose x); exactly 0.0 on {0, 1} at trials=1."""
+        n = self.trials
+        return gammaln(n + 1) - gammaln(x + 1) - gammaln(n + 1 - x)
 
     def in_box(self, theta):
         return (0.0 < theta[..., 0]) & (theta[..., 0] < 1.0)
 
     def log_density(self, x, theta):
         x, (t,) = self._coords(x, theta)
-        return _value(x * np.log(t) + (1 - x) * np.log1p(-t))
+        n = self.trials
+        return _value(self._log_binom(x) + x * np.log(t) + (n - x) * np.log1p(-t))
 
     def sample(self, theta, count, rng):
         theta = self.check_theta(theta)
-        return (rng.random(count) < theta[0]).astype(float)
+        draws = rng.random((count, self.trials)) < theta[0]
+        return draws.sum(axis=1).astype(float)
 
     def support(self, theta):
         return None
 
     def mean(self, theta):
-        return float(theta[0])
+        return self.trials * float(theta[0])
+
+    def sufficient_kernel(self, N):
+        """The summed count of N draws, Binomial(N * trials, theta)."""
+        return BernoulliKernel(self.trials * N)
 
     def grad_density(self, x, theta):
+        """trials * (f(x - 1) - f(x)) under one trial fewer."""
         x, coords = self._coords(x, theta)
-        return _stack_gradient(x, coords, [2.0 * x - 1.0])
+        fewer = BernoulliKernel(self.trials - 1)
+        diff = fewer.density(x - 1, theta) - fewer.density(x, theta)
+        return _stack_gradient(x, coords, [self.trials * diff])
 
     def closed_divergence(self, which, theta1, theta2):
+        if self.trials != 1:
+            return None
         t1 = float(self.check_theta(theta1)[0])
         t2 = float(self.check_theta(theta2)[0])
         if which == "tv":
@@ -259,7 +277,6 @@ class GaussianLocationKernel(KernelFamily):
 
     name = "gaussian_location"
     q = 1
-    data_space = "real"
 
     def __init__(self, sigma=1.0):
         if sigma <= 0:
@@ -267,12 +284,12 @@ class GaussianLocationKernel(KernelFamily):
         self.sigma = float(sigma)
         s2 = self.sigma**2
         self.expfam = ExpFamilySpec(
-            stat=lambda x: np.atleast_1d(float(x)),
-            log_partition=lambda eta: 0.5 * s2 * float(eta[0]) ** 2,
-            log_carrier=lambda x: -0.5 * float(x) ** 2 / s2
+            stat=lambda x: np.asarray(x, dtype=float)[..., None],
+            log_partition=lambda eta: 0.5 * s2 * eta[..., 0] ** 2,
+            log_carrier=lambda x: -0.5 * np.square(x) / s2
             - 0.5 * math.log(2 * math.pi * s2),
-            natural=lambda th: np.array([th[0] / s2]),
-            in_natural_space=lambda eta: np.all(np.isfinite(eta)),
+            natural=lambda th: th / s2,
+            in_natural_space=lambda eta: np.isfinite(eta).all(axis=-1),
         )
 
     def in_box(self, theta):
@@ -322,19 +339,17 @@ class GammaKernel(KernelFamily):
 
     name = "gamma"
     q = 2
-    data_space = "real"
 
     def __init__(self, normalized=True):
         self.normalized = bool(normalized)
         if self.normalized:
             self.expfam = ExpFamilySpec(
-                stat=lambda x: np.array([math.log(x), -float(x)]),
-                log_partition=lambda eta: float(
-                    gammaln(eta[0] + 1.0) - (eta[0] + 1.0) * math.log(eta[1])
-                ),
-                log_carrier=lambda x: 0.0 if x > 0 else -np.inf,
-                natural=lambda th: np.array([th[0] - 1.0, th[1]]),
-                in_natural_space=lambda eta: eta[0] > -1.0 and eta[1] > 0.0,
+                stat=lambda x: np.stack([np.log(x), np.negative(x)], axis=-1),
+                log_partition=lambda eta: gammaln(eta[..., 0] + 1.0)
+                - (eta[..., 0] + 1.0) * np.log(eta[..., 1]),
+                log_carrier=lambda x: np.where(np.greater(x, 0), 0.0, -np.inf),
+                natural=lambda th: th - [1.0, 0.0],
+                in_natural_space=lambda eta: (eta[..., 0] > -1.0) & (eta[..., 1] > 0.0),
             )
 
     def in_box(self, theta):
@@ -411,7 +426,6 @@ class UniformKernel(KernelFamily):
 
     name = "uniform"
     q = 1
-    data_space = "real"
 
     def in_box(self, theta):
         return theta[..., 0] > 0.0
@@ -460,7 +474,6 @@ class LocScaleExponentialKernel(KernelFamily):
 
     name = "locscale_exponential"
     q = 2
-    data_space = "real"
 
     def in_box(self, theta):
         return np.isfinite(theta[..., 0]) & (theta[..., 1] > 0.0)
@@ -527,7 +540,6 @@ class GaussianLocationMixtureKernel(KernelFamily):
     strictly increasing component means."""
 
     name = "gaussian_location_mixture"
-    data_space = "real"
 
     def __init__(self, k, sigma=1.0):
         if k < 2:
@@ -623,7 +635,6 @@ class BetaPushforwardKernel(KernelFamily):
 
     name = "beta_pushforward"
     q = 3
-    data_space = "unit_interval"
 
     def __init__(self, xi):
         if not 0.0 < xi < 1.0:
@@ -723,14 +734,15 @@ def hellinger_expfam(spec, theta1, theta2):
         if spec.expfam is None:
             raise InvalidParameter(f"{spec.name} has no exponential-family structure")
         spec = spec.expfam
-    eta1 = np.asarray(spec.natural(np.atleast_1d(np.asarray(theta1, float))))
-    eta2 = np.asarray(spec.natural(np.atleast_1d(np.asarray(theta2, float))))
+    eta1 = spec.natural(np.atleast_1d(np.asarray(theta1, float)))
+    eta2 = spec.natural(np.atleast_1d(np.asarray(theta2, float)))
     mid = 0.5 * (eta1 + eta2)
     for eta in (eta1, eta2, mid):
         if not spec.in_natural_space(eta):
             raise MidpointOutsideDomain(f"natural parameter {eta} outside the domain")
-    exponent = spec.log_partition(mid) - 0.5 * (
-        spec.log_partition(eta1) + spec.log_partition(eta2)
+    exponent = float(
+        spec.log_partition(mid)
+        - 0.5 * (spec.log_partition(eta1) + spec.log_partition(eta2))
     )
     h2 = -math.expm1(min(exponent, 0.0))
     return math.sqrt(max(h2, 0.0))
@@ -800,10 +812,10 @@ def integrate_panels(fun, boundaries):
 def mixture_divergence(kernel, atoms, weights, atoms2, weights2, which):
     """TV, Hellinger distance or KL between the kernel mixtures (atoms,
     weights) and (atoms2, weights2), and the number of integrand nodes: a
-    sum over {0, 1} for binary kernels, else integrate_panels over the union
-    of the TAIL_EPS tail bounds, cut at breakpoints and, for TV, where the
-    two densities cross (a sign scan of CROSSING_SCAN interior points per
-    segment, refined by brentq)."""
+    sum over kernel.points for discrete kernels, else integrate_panels over
+    the union of the TAIL_EPS tail bounds, cut at breakpoints and, for TV,
+    where the two densities cross (a sign scan of CROSSING_SCAN interior
+    points per segment, refined by brentq)."""
     both = np.concatenate([atoms, atoms2])
     log_w = np.log(np.concatenate([weights, weights2]))
     k = len(atoms)
@@ -826,8 +838,8 @@ def mixture_divergence(kernel, atoms, weights, atoms2, weights2, which):
         p, q = np.exp(log_mixtures(x))
         return p - q
 
-    if kernel.data_space == "binary":
-        value, nodes = float(integrand(np.array([0.0, 1.0])).sum()), 2
+    if kernel.points is not None:
+        value, nodes = float(integrand(kernel.points).sum()), kernel.points.size
     else:
         bounds = _segment_boundaries(kernel, both, TAIL_EPS)
         if which == "tv":
@@ -855,7 +867,7 @@ def divergence_numeric(kernel, theta1, theta2, which):
         raise InvalidParameter(f"unknown divergence {which!r}")
     t1 = kernel.check_theta(theta1)
     t2 = kernel.check_theta(theta2)
-    if which == "kl" and kernel.data_space != "binary":
+    if which == "kl" and kernel.points is None:
         s1 = kernel.support(t1)
         s2 = kernel.support(t2)
         if s1[0] < s2[0] - 1e-15 or s1[1] > s2[1] + 1e-15:

@@ -6,6 +6,7 @@ seed by stable labels, and the worker count never changes any number.
 """
 
 import csv
+import io
 import json
 import os
 import tempfile
@@ -20,7 +21,7 @@ from .identifiability import (
     degenerate_direction_check,
     first_order_gram,
 )
-from .kernels import kernel_from_spec
+from .kernels import BernoulliKernel, kernel_from_spec
 from .measures import (
     MixingMeasure,
     atom_and_weight_distances,
@@ -160,6 +161,15 @@ def _values(params, key, default=None):
     return values
 
 
+def _number_list(params, key):
+    """Check an optional parameter that must be a list of numbers."""
+    if key in params:
+        if not isinstance(params[key], list):
+            raise SchemaError(f"parameters.{key}", "expected a list of numbers")
+        for i, value in enumerate(params[key]):
+            _as_number(value, f"parameters.{key}[{i}]")
+
+
 def _validate_parameters(subcommand, params, measures, kernel):
     if "budget" in params:
         _as_int(params["budget"], "parameters.budget", minimum=1)
@@ -175,6 +185,9 @@ def _validate_parameters(subcommand, params, measures, kernel):
             name = metric.get("name")
             if name not in ("DN", "Dr", "wasserstein", "components"):
                 raise SchemaError(f"{path}.name", f"unknown metric {name!r}")
+            for key in ("N", "r1", "r2", "p"):
+                if key in metric:
+                    _as_number(metric[key], f"{path}.{key}")
     elif subcommand == "divergence":
         if len(measures) != 2:
             raise SchemaError("measures", "divergence needs exactly two measures")
@@ -185,6 +198,9 @@ def _validate_parameters(subcommand, params, measures, kernel):
     elif subcommand == "identify":
         if len(measures) != 1:
             raise SchemaError("measures", "identify needs exactly one measure")
+        for i, n in enumerate(_values(params, "n_grid", [1])):
+            _as_int(n, f"parameters.n_grid[{i}]", minimum=1)
+        _number_list(params, "direction")
     elif subcommand == "witness":
         if len(measures) != 1:
             raise SchemaError("measures", "witness needs exactly one measure")
@@ -198,9 +214,9 @@ def _validate_parameters(subcommand, params, measures, kernel):
         if len(measures) != 1:
             raise SchemaError("measures", "probe needs exactly one base measure")
         if name in ("inverse_ratio", "impact_Dr"):
-            direction = _require(params, "direction", "parameters.direction")
-            if not isinstance(direction, list):
-                raise SchemaError("parameters.direction", "expected a list")
+            _require(params, "direction", "parameters.direction")
+        for key in ("direction", "ell_grid", "N_grid", "eps_grid"):
+            _number_list(params, key)
         if name == "inverse_ratio":
             _as_int(_require(params, "N", "parameters.N"), "parameters.N", minimum=1)
         if name == "impact_Dr":
@@ -365,9 +381,9 @@ def _run_identify(config):
     params = config.parameters
     rows = []
     envelope = {"subcommand": "identify", "seed": config.seed, "kernel": kernel.name}
-    if kernel.data_space == "binary":
+    if kernel.points is not None:
         k = G.k
-        n_values = params.get("n_grid", list(range(1, 2 * k + 2)))
+        n_values = _values(params, "n_grid", list(range(1, 2 * k + 2)))
         ranks = {}
         for n in n_values:
             report = bernoulli_first_order_system(G, int(n))
@@ -396,8 +412,6 @@ def _run_identify(config):
 def _run_witness(config):
     G = config.measures[0]
     values = _values(config.parameters, "a", WITNESS_A)
-    from .kernels import BernoulliKernel
-
     kernel = BernoulliKernel()
     rows = []
     found = []
@@ -567,8 +581,6 @@ def run(config):
     stem = config.subcommand.replace("-", "_")
     csv_path = os.path.join(out_dir, f"{stem}.csv")
     json_path = os.path.join(out_dir, f"{stem}.json")
-
-    import io
 
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")

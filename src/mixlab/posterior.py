@@ -170,50 +170,52 @@ def prior_sample(prior, k0, rng):
     raise ConvergenceError("atom draws kept colliding; check the prior box")
 
 
-def _binary_sufficient_stats(dataset):
-    """Unique (length, successes) rows with multiplicities, sorted so the
-    evaluation is independent of the sequence order."""
-    pairs = np.array(
-        [[seq.size, int(round(seq.sum()))] for seq in dataset.sequences],
-        dtype=float,
-    )
-    unique, counts = np.unique(pairs, axis=0, return_counts=True)
-    return unique[:, 0], unique[:, 1], counts.astype(float)
-
-
 def _likelihood_evaluator(kernel, dataset):
     """Callable (atoms, log_weights) -> total log likelihood of the dataset.
 
-    Binary kernels reduce to per-sequence success counts grouped by their
-    (length, count) signature; other kernels evaluate the log density on
-    the concatenated samples and segment-sum per sequence.
+    Kernels with an ``expfam`` see a sequence only through its length n_j
+    and summed statistic S_j = sum_t T(x_jt). The unique (n_j, S_j) rows
+    with their counts and the summed log-carrier are built once; a call is
+    counts @ logsumexp(log w + S eta(theta)^T - n A(eta(theta))) plus that
+    constant, at O(rows * k). Other kernels evaluate the log density on the
+    concatenated samples and segment-sum per sequence. InvalidParameter
+    names a value outside a discrete kernel's points or with an infinite
+    log-carrier (outside the support for every theta).
     """
     if dataset is None:
         return lambda atoms, log_weights: 0.0
-    if kernel.data_space == "binary":
-        lengths, successes, counts = _binary_sufficient_stats(dataset)
+    concat = np.concatenate(dataset.sequences)
+    lengths = np.array(dataset.lengths)
+    starts = np.concatenate([[0], np.cumsum(lengths)[:-1]])
+    spec = kernel.expfam
+    carrier = np.zeros(concat.shape) if spec is None else spec.log_carrier(concat)
+    bad = ~np.isfinite(carrier)
+    if kernel.points is not None:
+        bad |= ~np.isin(concat, kernel.points)
+    if bad.any():
+        raise InvalidParameter(
+            f"{kernel.name}: data value {float(concat[bad][0])!r} outside the support"
+        )
+
+    if spec is None:
 
         def loglik(atoms, log_weights):
-            th = atoms[:, 0]
-            lt = np.log(th)
-            l1t = np.log1p(-th)
-            mat = (
-                log_weights[None, :]
-                + successes[:, None] * lt[None, :]
-                + (lengths - successes)[:, None] * l1t[None, :]
-            )
-            return float(counts @ logsumexp(mat, axis=1))
+            per_seq = np.add.reduceat(kernel.log_density(concat, atoms), starts, axis=1)
+            return float(logsumexp(log_weights[:, None] + per_seq, axis=0).sum())
 
         return loglik
 
-    concat = np.concatenate(dataset.sequences)
-    starts = np.concatenate(
-        [[0], np.cumsum([seq.size for seq in dataset.sequences])[:-1]]
-    ).astype(int)
+    sums = np.add.reduceat(spec.stat(concat), starts, axis=0)
+    rows, counts = np.unique(
+        np.column_stack([lengths, sums]), axis=0, return_counts=True
+    )
+    n, S = rows[:, :1], rows[:, 1:]
+    constant = float(carrier.sum())
 
     def loglik(atoms, log_weights):
-        per_seq = np.add.reduceat(kernel.log_density(concat, atoms), starts, axis=1)
-        return float(logsumexp(log_weights[:, None] + per_seq, axis=0).sum())
+        eta = spec.natural(atoms)
+        mat = log_weights + S @ eta.T - n * spec.log_partition(eta)
+        return float(counts @ logsumexp(mat, axis=1)) + constant
 
     return loglik
 
@@ -520,7 +522,7 @@ def contraction_experiment(
     if not isinstance(config, MCMCConfig):
         raise InvalidParameter("config must be an MCMCConfig")
     min_length, draw_lengths = _resolve_length_law(length_law)
-    if kernel.data_space == "binary":
+    if kernel.points is not None:
         needed = 2 * G0.k - 1
     else:
         needed = 2
@@ -530,7 +532,7 @@ def contraction_experiment(
             f"length {needed} for this kernel"
         )
     if prior is None:
-        if kernel.data_space == "binary":
+        if kernel.points is not None:
             prior = PriorSpec(kernel, np.array([[0.01, 0.99]]))
         else:
             raise InvalidParameter(

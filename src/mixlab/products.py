@@ -1,7 +1,8 @@
 """Mixtures of product distributions over length-N exchangeable sequences:
 densities, dataset sampling, permutation-minimized divergence upper bounds,
-and divergence estimation by exact enumeration, sufficient reduction to a
-1-D statistic, quadrature or Monte Carlo."""
+and divergence estimation by reduction to the law of a sufficient
+statistic, then summation over a discrete support, quadrature or Monte
+Carlo."""
 
 import json
 import math
@@ -9,7 +10,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import (
     BudgetExceeded,
@@ -240,34 +240,6 @@ def tv_upper_bound(G, G2, kernel, N):
     return _min_over_matchings(G, G2, pair, scale, lambda gap: 0.5 * gap)
 
 
-def bernoulli_count_probs(G, N):
-    """Exact success-count law of the product mixture: the N+1 probabilities
-    P(count = s) with binomial multiplicities."""
-    s = np.arange(N + 1)
-    log_binom = gammaln(N + 1) - gammaln(s + 1) - gammaln(N - s + 1)
-    thetas = G.atoms[:, 0]
-    log_comp = (
-        log_binom[None, :]
-        + s[None, :] * np.log(thetas)[:, None]
-        + (N - s)[None, :] * np.log1p(-thetas)[:, None]
-    )
-    return np.exp(logsumexp(log_comp + np.log(G.weights)[:, None], axis=0))
-
-
-def _exact_bernoulli_estimate(G, G2, N, which):
-    p = bernoulli_count_probs(G, N)
-    q = bernoulli_count_probs(G2, N)
-    if which == "tv":
-        value = 0.5 * float(np.abs(p - q).sum())
-    else:
-        value = math.sqrt(
-            max(0.5 * float(((np.sqrt(p) - np.sqrt(q)) ** 2).sum()), 0.0)
-        )
-    return DivergenceEstimate(
-        value=min(value, 1.0), stderr=0.0, method="exact-enumeration", n=N + 1
-    )
-
-
 def _tensor_integral(G, G2, kernel, which, nodes, weights):
     """Integral over the node grid squared of the N = 2 integrand, summed
     over row blocks of at most TENSOR_BLOCK_ENTRIES node pairs."""
@@ -373,10 +345,9 @@ def _mc_estimate(G, G2, kernel, N, which, budget, seed, workers, label):
 
 
 def uses_monte_carlo(kernel, N):
-    """Whether estimate_divergence falls through to Monte Carlo: a
-    continuous kernel at N > 2 with no 1-D sufficient statistic."""
-    continuous = kernel.data_space != "binary"
-    return continuous and N > 2 and kernel.sufficient_kernel(N) is None
+    """Whether estimate_divergence falls through to Monte Carlo: N > 2 and
+    no 1-D sufficient statistic."""
+    return N > 2 and kernel.sufficient_kernel(N) is None
 
 
 def estimate_divergence(
@@ -390,10 +361,12 @@ def estimate_divergence(
     workers=None,
     label=None,
 ):
-    """TV or Hellinger between N-product mixtures; the method ladder is exact
-    success-count enumeration (binary kernels, any N), reduction of N draws
-    to one draw of a 1-D sufficient statistic (which leaves TV and Hellinger
-    unchanged), quadrature at N <= 2, then balanced-mixture Monte Carlo."""
+    """TV or Hellinger between N-product mixtures. The ladder first reduces
+    N draws to one draw of a 1-D sufficient statistic where the kernel has
+    one (which leaves TV and Hellinger unchanged), then runs the N = 1
+    engine (exact enumeration over kernel.points for discrete kernels,
+    quadrature otherwise), the N = 2 tensor grid, and above that
+    balanced-mixture Monte Carlo."""
     which = which.lower()
     if which not in ("tv", "hellinger"):
         raise InvalidParameter(f"unknown divergence {which!r}")
@@ -401,19 +374,18 @@ def estimate_divergence(
         raise InvalidParameter("N must be a positive integer")
     for measure in (G, G2):
         kernel.check_theta(measure.atoms)
-    if kernel.data_space == "binary":
-        return _exact_bernoulli_estimate(G, G2, N, which)
-    if not uses_monte_carlo(kernel, N):
-        reduced = kernel.sufficient_kernel(N)
-        if reduced is not None:
-            kernel, N = reduced, 1
-        if N == 1:
-            value, nodes = mixture_divergence(
-                kernel, G.atoms, G.weights, G2.atoms, G2.weights, which
-            )
-            return DivergenceEstimate(
-                value=min(value, 1.0), stderr=0.0, method="quadrature", n=nodes
-            )
+    reduced = kernel.sufficient_kernel(N)
+    if reduced is not None:
+        kernel, N = reduced, 1
+    if N == 1:
+        value, nodes = mixture_divergence(
+            kernel, G.atoms, G.weights, G2.atoms, G2.weights, which
+        )
+        method = "quadrature" if kernel.points is None else "exact-enumeration"
+        return DivergenceEstimate(
+            value=min(value, 1.0), stderr=0.0, method=method, n=nodes
+        )
+    if N == 2:
         return _quadrature_estimate_n2(G, G2, kernel, which)
     if budget < MC_MIN_BUDGET:
         raise BudgetExceeded(

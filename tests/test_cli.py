@@ -480,7 +480,7 @@ def _posterior_sim_with(**changes):
     return doc
 
 
-def _probe_with_budget(budget):
+def _probe_with(**changes):
     return {
         "subcommand": "probe",
         "seed": 5,
@@ -490,9 +490,13 @@ def _probe_with_budget(budget):
             "name": "inverse_ratio",
             "direction": [0.0, 1.5, 0.0, 0.0, -1.0, 1.0],
             "N": 3,
-            "budget": budget,
+            **changes,
         },
     }
+
+
+def _identify_with(**parameters):
+    return dict(_probe_with(), subcommand="identify", parameters=parameters)
 
 
 CONFIG_FAULTS = {
@@ -518,8 +522,18 @@ CONFIG_FAULTS = {
         TestDeterminism.MC_DOC,
         parameters={"name": "hellinger", "N": 3, "budget": "x"},
     ),
-    "probe_budget_negative": _probe_with_budget(-5),
-    "probe_budget_fraction": _probe_with_budget(100000.5),
+    "probe_budget_negative": _probe_with(budget=-5),
+    "probe_budget_fraction": _probe_with(budget=100000.5),
+    "identify_n_grid_string": _identify_with(n_grid="x"),
+    "identify_direction_string": _identify_with(direction="x"),
+    "probe_direction_strings": _probe_with(direction=["a"]),
+    "probe_ell_grid_string": _probe_with(ell_grid="x"),
+    "distance_DN_N_string": dict(
+        WEIGHT_SHIFT, parameters={"metrics": [{"name": "DN", "N": "x"}]}
+    ),
+    "distance_Dr_r1_string": dict(
+        WEIGHT_SHIFT, parameters={"metrics": [{"name": "Dr", "r1": "x"}]}
+    ),
 }
 
 

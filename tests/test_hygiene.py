@@ -50,3 +50,22 @@ def integrate_imports(path):
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_no_second_quadrature_engine(path):
     assert integrate_imports(path) == []
+
+
+def function_imports(path):
+    """Names of the functions of path whose bodies hold an import statement."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if any(
+                isinstance(inner, (ast.Import, ast.ImportFrom))
+                for inner in ast.walk(node)
+            ):
+                found.add(node.name)
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_imports_only_at_module_level(path):
+    assert function_imports(path) == []

@@ -109,6 +109,9 @@ class TestDensities:
             BetaPushforwardKernel(0.4).check_theta([0.5, 4.0, 3.0])
         with pytest.raises(InvalidParameter):
             BetaPushforwardKernel(1.2)
+        for trials in (-1, 2.5):
+            with pytest.raises(InvalidParameter):
+                BernoulliKernel(trials)
 
 
 PROTOCOL_CASES = [
@@ -157,6 +160,12 @@ PROTOCOL_CASES = [
         [[0.3, 2.6, 5.0], [0.5, 3.0, 4.0], [0.9, 2.1, 9.0]],
         [0.5, 1.5, 3.0],
         [[-0.2, 0.05, 0.3], [0.6, 0.95, 1.5]],
+    ),
+    (
+        BernoulliKernel(3),
+        [[0.3], [0.55], [0.8]],
+        [1.2],
+        [[0.0, 1.0, 3.0], [2.0, 0.0, 1.0]],
     ),
 ]
 
@@ -219,7 +228,9 @@ class TestLogSumExp:
 class TestSamplers:
     @pytest.mark.parametrize(
         "kernel,theta",
-        CONTINUOUS_CASES + [(BernoulliKernel(), np.array([0.35]))],
+        CONTINUOUS_CASES
+        + [(BernoulliKernel(), np.array([0.35]))]
+        + [(BernoulliKernel(5), np.array([0.35]))],
     )
     def test_sample_mean(self, kernel, theta, rng):
         draws = kernel.sample(theta, 40000, rng)
@@ -244,6 +255,7 @@ class TestExpFamily:
             (BernoulliKernel(), [0.3], [0.0, 1.0]),
             (GaussianLocationKernel(0.9), [0.7], np.linspace(-2, 3, 9)),
             (GammaKernel(), [2.3, 1.4], np.geomspace(0.05, 8.0, 9)),
+            (BernoulliKernel(4), [0.3], [0.0, 1.0, 2.0, 3.0, 4.0]),
         ],
     )
     def test_reconstruction(self, kernel, theta, xs):
@@ -362,6 +374,7 @@ class TestGradients:
             (GammaKernel(normalized=False), [2.2, 1.3], [0.4, 1.5]),
             (LocScaleExponentialKernel(), [-0.3, 1.6], [0.2, 1.0, 3.0]),
             (UniformKernel(), [2.0], [0.5, 1.5]),
+            (BernoulliKernel(4), [0.37], [0.0, 1.0, 2.0, 4.0]),
         ],
     )
     def test_analytic_matches_fd(self, kernel, theta, xs):

@@ -10,7 +10,12 @@ from scipy.stats import beta as beta_dist
 from scipy.stats import kstest
 
 from mixlab.errors import AllProposalsRejected, InvalidParameter
-from mixlab.kernels import BernoulliKernel, GammaKernel, GaussianLocationKernel
+from mixlab.kernels import (
+    BernoulliKernel,
+    GammaKernel,
+    GaussianLocationKernel,
+    UniformKernel,
+)
 from mixlab.measures import (
     MixingMeasure,
     atom_and_weight_distances,
@@ -146,22 +151,49 @@ class TestLogPosterior:
         )
         assert forward == pytest.approx(backward, abs=1e-12)
 
-    def test_continuous_kernel_matches_direct_sum(self):
-        prior = PriorSpec(GAUSS, np.array([[-3.0, 3.0]]))
-        G = MixingMeasure(np.array([[-1.0], [1.5]]), [0.3, 0.7])
+    @pytest.mark.parametrize(
+        "kernel, box, atoms",
+        [
+            (GAUSS, [[-3.0, 3.0]], [[-1.0], [1.5]]),
+            (GammaKernel(), [[0.5, 5.0], [0.5, 5.0]], [[1.5, 2.0], [3.0, 1.0]]),
+            (UniformKernel(), [[1.0, 5.0]], [[2.5], [4.0]]),
+        ],
+        ids=["gaussian", "gamma", "uniform"],
+    )
+    def test_continuous_kernel_matches_direct_sum(self, kernel, box, atoms):
+        prior = PriorSpec(kernel, np.array(box))
+        G = MixingMeasure(np.array(atoms), [0.3, 0.7])
         rng = np.random.default_rng(9)
-        seqs = [rng.normal(size=n) for n in (2, 3, 4)]
+        seqs = [rng.uniform(0.1, 2.0, size=n) for n in (2, 3, 4, 3)]
         data = ExchangeableDataset(seqs)
         direct = 0.0
         for seq in seqs:
             terms = [
-                math.log(w) + float(np.sum(GAUSS.log_density(seq, atom)))
+                math.log(w) + float(np.sum(kernel.log_density(seq, atom)))
                 for w, atom in zip(G.weights, G.atoms)
             ]
             mx = max(terms)
             direct += mx + math.log(sum(math.exp(v - mx) for v in terms))
-        value = log_posterior_unnorm(G, data, GAUSS, prior)
+        value = log_posterior_unnorm(G, data, kernel, prior)
         assert value == pytest.approx(direct + prior.log_density(G), abs=1e-10)
+
+    @pytest.mark.parametrize(
+        "kernel, seq, bad",
+        [
+            (BERN, [2.0, 0.0, 1.0], "2.0"),
+            (BERN, [0.5, 0.0, 1.0], "0.5"),
+            (GammaKernel(), [1.0, 0.0, 2.0], "0.0"),
+        ],
+        ids=["bernoulli_two", "bernoulli_fraction", "gamma_zero"],
+    )
+    def test_values_outside_support_rejected(self, kernel, seq, bad):
+        prior = PriorSpec(kernel, np.array([[0.01, 0.99]] * kernel.q))
+        G = MixingMeasure(np.full((1, kernel.q), 0.5), [1.0])
+        data = ExchangeableDataset([np.array([1.0, 1.0]), np.array(seq)])
+        with pytest.raises(InvalidParameter, match=f"value {bad} outside"):
+            log_posterior_unnorm(G, data, kernel, prior)
+        with pytest.raises(InvalidParameter, match=f"value {bad} outside"):
+            mcmc_run(data, kernel, prior, 1, MCMCConfig(steps=50), 3)
 
 
 class TestMCMCConfig:

@@ -30,7 +30,6 @@ from mixlab.products import (
     ProductMixtureModel,
     _mc_estimate,
     _quadrature_estimate_n2,
-    bernoulli_count_probs,
     d_mh,
     estimate_divergence,
     hellinger_upper_bound,
@@ -239,9 +238,9 @@ class TestEstimateDivergence:
     def test_count_probs_sum_to_one(self):
         G = bern_measure([0.25, 0.6], [0.35, 0.65])
         for N in (1, 4, 9):
-            assert bernoulli_count_probs(G, N).sum() == pytest.approx(
-                1.0, abs=1e-12
-            )
+            counts = BERN.sufficient_kernel(N)
+            probs = G.weights @ counts.density(counts.points, G.atoms)
+            assert probs.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_monotone_in_N(self):
         G = bern_measure([0.25, 0.6], [0.35, 0.65])
@@ -471,7 +470,10 @@ class TestSufficientReduction:
 
     def test_other_kernels_have_no_reduction(self):
         assert GammaKernel().sufficient_kernel(3) is None
-        assert BERN.sufficient_kernel(3) is None
+        counts = BERN.sufficient_kernel(3)
+        assert counts.trials == 3
+        assert counts.points.tolist() == [0.0, 1.0, 2.0, 3.0]
+        assert counts.density(2.0, [0.4]) == pytest.approx(3 * 0.4**2 * 0.6, abs=1e-15)
         assert GaussianLocationKernel(2.0).sufficient_kernel(4).sigma == 1.0
 
 
