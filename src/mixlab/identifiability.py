@@ -298,15 +298,22 @@ def bernoulli_nonidentifiable_witness(G, a):
     )
 
 
+def _grid_array(grid_spec, key):
+    if key not in grid_spec:
+        raise InvalidParameter(f"explicit grid needs {key}")
+    try:
+        return np.atleast_1d(np.asarray(grid_spec[key], dtype=float))
+    except (TypeError, ValueError) as err:
+        raise InvalidParameter(f"grid {key} must be numbers: {err}") from err
+
+
 def _explicit_grid(grid_spec, need_weights):
-    points = np.atleast_1d(np.asarray(grid_spec["points"], dtype=float))
+    points = _grid_array(grid_spec, "points")
     if points.ndim != 1 or points.size == 0 or not np.all(np.isfinite(points)):
         raise InvalidParameter("grid points must be a finite 1-D array")
     if not need_weights:
         return points, None
-    if "weights" not in grid_spec:
-        raise InvalidParameter("explicit grid needs weights")
-    weights = np.atleast_1d(np.asarray(grid_spec["weights"], dtype=float))
+    weights = _grid_array(grid_spec, "weights")
     if weights.shape != points.shape or np.any(weights < 0):
         raise InvalidParameter("grid weights must align with points")
     return points, weights

@@ -895,25 +895,23 @@ def moment_map(kernel, theta):
 
 
 KERNEL_BUILDERS = {
-    "bernoulli": lambda params: BernoulliKernel(),
-    "gaussian_location": lambda params: GaussianLocationKernel(
-        sigma=params.get("sigma", 1.0)
-    ),
-    "gamma": lambda params: GammaKernel(
-        normalized=params.get("normalized", True)
-    ),
-    "uniform": lambda params: UniformKernel(),
-    "locscale_exponential": lambda params: LocScaleExponentialKernel(),
-    "gaussian_location_mixture": lambda params: GaussianLocationMixtureKernel(
-        k=params["k"], sigma=params.get("sigma", 1.0)
-    ),
-    "beta_pushforward": lambda params: BetaPushforwardKernel(xi=params["xi"]),
+    "bernoulli": BernoulliKernel,
+    "gaussian_location": GaussianLocationKernel,
+    "gamma": GammaKernel,
+    "uniform": UniformKernel,
+    "locscale_exponential": LocScaleExponentialKernel,
+    "gaussian_location_mixture": GaussianLocationMixtureKernel,
+    "beta_pushforward": BetaPushforwardKernel,
 }
 
 
 def kernel_from_spec(doc):
-    """Build a kernel from {"family": name, "params_fixed": {...}}."""
+    """Build a kernel from {"family": name, "params_fixed": {...}}; the fixed
+    parameters are the family constructor's keyword arguments."""
     family = doc.get("family")
     if family not in KERNEL_BUILDERS:
         raise InvalidParameter(f"unknown kernel family {family!r}")
-    return KERNEL_BUILDERS[family](doc.get("params_fixed", {}))
+    try:
+        return KERNEL_BUILDERS[family](**doc.get("params_fixed", {}))
+    except TypeError as err:
+        raise InvalidParameter(f"{family} kernel: {err}") from err

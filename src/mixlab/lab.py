@@ -8,12 +8,15 @@ seed by stable labels, and the worker count never changes any number.
 import csv
 import io
 import json
+import math
 import os
 import tempfile
+from collections import namedtuple
 from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import probes
 from .errors import InvalidParameter, MixLabError, SchemaError
 from .identifiability import (
     bernoulli_first_order_system,
@@ -35,27 +38,210 @@ from .posterior import (
     _resolve_length_law,
     contraction_experiment,
 )
-from .probes import (
-    curvature_probe_locscale,
-    impact_probe_Dr,
-    inverse_ratio_probe,
-    lecam_two_point_bound,
-    sqrtN_sharpness_probe,
-)
-from .products import MC_DEFAULT_BUDGET, estimate_divergence
+from .products import estimate_divergence
 
-SUBCOMMANDS = (
-    "distance",
-    "divergence",
-    "identify",
-    "witness",
-    "probe",
-    "minimax",
-    "posterior-sim",
+# A field's default is a value (checked like a given one; None is kept as is),
+# REQUIRED (the document must give the field) or OMITTED (an absent field stays
+# absent, so the default of the API function the field feeds applies).
+REQUIRED, OMITTED = object(), object()
+
+# The spec nodes that _check walks:
+# - Scalar: a JSON scalar of kind "integer", "number", "boolean" or "string",
+#   or one of a tuple of values; at least `minimum` (above it if `strict`).
+# - Seq: a list of `item`s (`head` for item 0) with min_len to max_len items;
+#   with `scalar`, one bare item stands for a one-item list.
+# - Obj: `fields` {name: (spec, default)}; the required field `tag` picks
+#   more fields from `variants`. Any other key is a SchemaError.
+# - Build: `spec`, then `make` turns the checked value into a typed one.
+# - Either: an object is checked by `obj`, any other value by `other`.
+Scalar = namedtuple("Scalar", "kind minimum strict", defaults=(None, False))
+Seq = namedtuple(
+    "Seq", "item min_len max_len scalar head", defaults=(0, None, False, None)
 )
-KERNEL_REQUIRED = {"divergence", "identify", "probe", "posterior-sim"}
-PROBE_NAMES = ("inverse_ratio", "impact_Dr", "curvature_locscale", "sqrtN_sharpness")
-WITNESS_A = [1.0, 2.0]
+Obj = namedtuple("Obj", "fields tag variants", defaults=(None, None))
+Build = namedtuple("Build", "spec make")
+Either = namedtuple("Either", "other obj")
+
+SCALAR_TYPES = {"integer": int, "number": (int, float), "boolean": bool, "string": str}
+INT, NUMBER, NUMBERS = Scalar("integer"), Scalar("number"), Seq(Scalar("number"))
+COUNT, NONNEG = Scalar("integer", 1), Scalar("integer", 0)
+
+
+def _length_law(law):
+    _resolve_length_law(law)
+    return law
+
+
+def _fixed(**fields):
+    """A kernel family's ``params_fixed`` object."""
+    return {"params_fixed": (Obj(fields), OMITTED)}
+
+
+KERNEL = Build(Obj({}, "family", {
+    "bernoulli": _fixed(),
+    "gaussian_location": _fixed(sigma=(NUMBER, OMITTED)),
+    "gamma": _fixed(normalized=(Scalar("boolean"), OMITTED)),
+    "uniform": _fixed(),
+    "locscale_exponential": _fixed(),
+    "gaussian_location_mixture": _fixed(k=(INT, REQUIRED), sigma=(NUMBER, OMITTED)),
+    "beta_pushforward": _fixed(xi=(NUMBER, REQUIRED)),
+}), kernel_from_spec)
+MEASURE = Build(Obj({
+    "atoms": (Seq(Seq(NUMBER, scalar=True)), REQUIRED),
+    "weights": (NUMBERS, REQUIRED),
+}), lambda doc: MixingMeasure(doc["atoms"], doc["weights"]))
+METRIC = Obj({}, "name", {
+    "DN": {"N": (NUMBER, 1)},
+    "Dr": {"r1": (NUMBER, 1), "r2": (NUMBER, 1)},
+    "wasserstein": {"p": (NUMBER, 1)},
+    "components": {},
+})
+GRID = Either(Scalar(("auto",)), Obj({
+    "points": (Seq(NUMBER, min_len=1), REQUIRED),
+    "weights": (NUMBERS, OMITTED),
+}))
+PATH_FIELDS = {"ell_grid": (NUMBERS, OMITTED), "budget": (COUNT, OMITTED)}
+PROBE = Obj({}, "name", {
+    "inverse_ratio": {
+        "direction": (NUMBERS, REQUIRED),
+        "N": (COUNT, REQUIRED),
+        **PATH_FIELDS,
+    },
+    "impact_Dr": {
+        "direction": (NUMBERS, REQUIRED),
+        "r": (Scalar("number", 1), REQUIRED),
+        **PATH_FIELDS,
+    },
+    "curvature_locscale": {"ell_grid": (NUMBERS, OMITTED)},
+    "sqrtN_sharpness": {
+        "psi_exponent": (NUMBER, REQUIRED),
+        "N_grid": (NUMBERS, OMITTED),
+        "eps_grid": (NUMBERS, OMITTED),
+        "atom_index": (NONNEG, OMITTED),
+        "coordinate": (NONNEG, OMITTED),
+    },
+})
+MCMC = Build(Obj({
+    "steps": (INT, OMITTED),
+    "burn_fraction": (NUMBER, OMITTED),
+    "initial_scale": (NUMBER, OMITTED),
+}), lambda fields: MCMCConfig(**fields))
+
+
+def _subcommand(parameters, kernel=REQUIRED, measures=(1, 1)):
+    """A subcommand's fields: its parameters, whether it needs a kernel and
+    the (least, most) measures it reads."""
+    return {
+        "kernel": (KERNEL, kernel),
+        "measures": (Seq(MEASURE, *measures), []),
+        "parameters": (parameters, {}),
+    }
+
+
+# The whole config document: the subcommand picks the fields that follow.
+SCHEMA = Obj(
+    {"seed": (NONNEG, REQUIRED), "workers": (COUNT, 1), "out": (Scalar("string"), ".")},
+    "subcommand",
+    {
+        "distance": _subcommand(Obj({
+            "metrics": (Seq(METRIC, min_len=1), [{"name": "DN", "N": 1}]),
+        }), kernel=None, measures=(2, None)),
+        "divergence": _subcommand(Obj({
+            "name": (Scalar(("tv", "hellinger")), "tv"),
+            "N": (COUNT, 1),
+            "budget": (COUNT, OMITTED),
+        }), measures=(2, 2)),
+        "identify": _subcommand(Obj({
+            "n_grid": (Seq(COUNT, min_len=1, scalar=True), OMITTED),
+            "grid": (GRID, OMITTED),
+            "direction": (NUMBERS, OMITTED),
+        })),
+        "witness": _subcommand(Obj({
+            "a": (Seq(Scalar("number", 0, strict=True), 1, scalar=True), [1.0, 2.0]),
+        }), kernel=None),
+        "probe": _subcommand(PROBE),
+        "minimax": _subcommand(Obj({
+            "m": (Seq(NUMBER, min_len=1, scalar=True), REQUIRED),
+            "N": (Seq(NUMBER, min_len=1, scalar=True), REQUIRED),
+            "gamma": (NUMBER, REQUIRED),
+            "beta0": (NUMBER, REQUIRED),
+            "a": (NUMBER, REQUIRED),
+        }), kernel=None, measures=(0, None)),
+        "posterior-sim": _subcommand(Obj({
+            "m_grid": (Seq(Scalar("integer", 3), min_len=2), REQUIRED),
+            "length_law": (Build(Seq(COUNT, 1, head=Scalar("string")), _length_law),
+                           REQUIRED),
+            "replicates": (COUNT, 1),
+            "mcmc": (MCMC, {}),
+            "prior_box": (Seq(Seq(NUMBER, 2, 2)), None),
+        })),
+    },
+)
+SUBCOMMANDS = tuple(SCHEMA.variants)
+
+
+def _check(spec, value, path):
+    """The checked value of one field, with defaults filled in and typed
+    parts built; a SchemaError names the path of the first fault."""
+    if isinstance(spec, Build):
+        value = _check(spec.spec, value, path)
+        try:
+            return spec.make(value)
+        except MixLabError as err:
+            raise SchemaError(path, str(err)) from err
+    if isinstance(spec, Either):
+        return _check(spec.obj if isinstance(value, dict) else spec.other, value, path)
+    if isinstance(spec, Scalar):
+        if isinstance(spec.kind, tuple):
+            if value not in spec.kind:
+                choices = ", ".join(spec.kind)
+                raise SchemaError(path, f"unknown value {value!r}; expected {choices}")
+            return value
+        kind = SCALAR_TYPES[spec.kind]
+        if isinstance(value, bool) != (kind is bool) or not isinstance(value, kind):
+            raise SchemaError(path, f"expected {spec.kind}, got {value!r}")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise SchemaError(path, f"expected a finite number, got {value!r}")
+        low = spec.minimum
+        if low is not None and (value <= low if spec.strict else value < low):
+            raise SchemaError(path, f"must be {'>' if spec.strict else '>='} {low}")
+        return value
+    if isinstance(spec, Seq):
+        if not isinstance(value, list):
+            if not spec.scalar:
+                raise SchemaError(path, f"expected a list, got {value!r}")
+            value = [value]
+        if len(value) < spec.min_len:
+            raise SchemaError(path, f"expected at least {spec.min_len} items")
+        if spec.max_len is not None and len(value) > spec.max_len:
+            raise SchemaError(path, f"expected at most {spec.max_len} items")
+        return [
+            _check(spec.head if i == 0 and spec.head else spec.item, v, f"{path}[{i}]")
+            for i, v in enumerate(value)
+        ]
+    if not isinstance(value, dict):
+        raise SchemaError(path, f"expected an object, got {value!r}")
+    prefix = f"{path}." if path else ""
+    fields = spec.fields
+    if spec.tag is not None:
+        if spec.tag not in value:
+            raise SchemaError(prefix + spec.tag, "required field is missing")
+        tag = _check(Scalar(tuple(spec.variants)), value[spec.tag], prefix + spec.tag)
+        fields = {spec.tag: (Scalar((tag,)), REQUIRED), **fields, **spec.variants[tag]}
+    for key in value:
+        if key not in fields:
+            raise SchemaError(prefix + key, "unknown field")
+    out = {}
+    for key, (field, default) in fields.items():
+        if key in value:
+            out[key] = _check(field, value[key], prefix + key)
+        elif default is REQUIRED:
+            raise SchemaError(prefix + key, "required field is missing")
+        elif default is None:
+            out[key] = None
+        elif default is not OMITTED:
+            out[key] = _check(field, default, prefix + key)
+    return out
 
 
 @dataclass(frozen=True)
@@ -71,193 +257,9 @@ class ExperimentConfig:
     out: str
 
 
-def _require(doc, key, path):
-    if key not in doc:
-        raise SchemaError(path, "required field is missing")
-    return doc[key]
-
-
-def _as_int(value, path, minimum=None):
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise SchemaError(path, f"expected an integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise SchemaError(path, f"must be >= {minimum}, got {value}")
-    return value
-
-
-def _as_number(value, path):
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SchemaError(path, f"expected a number, got {value!r}")
-    return float(value)
-
-
-def _parse_measures(doc, kernel):
-    raw = doc.get("measures", [])
-    if not isinstance(raw, list):
-        raise SchemaError("measures", "expected a list of measure documents")
-    measures = []
-    for i, entry in enumerate(raw):
-        if not isinstance(entry, dict):
-            raise SchemaError(f"measures[{i}]", "expected an object")
-        try:
-            G = MixingMeasure.from_json(entry)
-        except MixLabError as err:
-            raise SchemaError(f"measures[{i}]", str(err)) from err
-        except (KeyError, TypeError, ValueError) as err:
-            raise SchemaError(f"measures[{i}]", f"malformed measure: {err}") from err
-        if kernel is not None:
-            for j, atom in enumerate(G.atoms):
-                try:
-                    kernel.check_theta(atom)
-                except MixLabError as err:
-                    raise SchemaError(f"measures[{i}].atoms[{j}]", str(err)) from err
-        measures.append(G)
-    return tuple(measures)
-
-
-def _chain_specs(params, kernel):
-    """posterior-sim's MCMCConfig and PriorSpec (None without a prior_box);
-    a SchemaError names the bad field."""
-    mcmc = params.get("mcmc", {})
-    if not isinstance(mcmc, dict):
-        raise SchemaError("parameters.mcmc", "expected an object")
-    for key, value in mcmc.items():
-        path = f"parameters.mcmc.{key}"
-        if key == "steps":
-            _as_int(value, path)
-        elif key in ("burn_fraction", "initial_scale"):
-            _as_number(value, path)
-        else:
-            raise SchemaError(
-                path, "unknown field; expected steps, burn_fraction or initial_scale"
-            )
-    try:
-        chain_config = MCMCConfig(**mcmc)
-    except InvalidParameter as err:
-        raise SchemaError("parameters.mcmc", str(err)) from err
-    if "prior_box" not in params:
-        return chain_config, None
-    box = params["prior_box"]
-    path = "parameters.prior_box"
-    if not isinstance(box, list):
-        raise SchemaError(path, "expected a list of [lo, hi] pairs")
-    for i, pair in enumerate(box):
-        if not isinstance(pair, list) or len(pair) != 2:
-            raise SchemaError(f"{path}[{i}]", "expected a [lo, hi] pair")
-        for j, value in enumerate(pair):
-            _as_number(value, f"{path}[{i}][{j}]")
-    try:
-        return chain_config, PriorSpec(kernel, np.asarray(box, dtype=float))
-    except InvalidParameter as err:
-        raise SchemaError(path, str(err)) from err
-
-
-def _values(params, key, default=None):
-    """A parameter given as one value or a list, as a nonempty list."""
-    values = params.get(key, default)
-    values = values if isinstance(values, list) else [values]
-    if not values:
-        raise SchemaError(f"parameters.{key}", "expected at least one value")
-    return values
-
-
-def _number_list(params, key):
-    """Check an optional parameter that must be a list of numbers."""
-    if key in params:
-        if not isinstance(params[key], list):
-            raise SchemaError(f"parameters.{key}", "expected a list of numbers")
-        for i, value in enumerate(params[key]):
-            _as_number(value, f"parameters.{key}[{i}]")
-
-
-def _validate_parameters(subcommand, params, measures, kernel):
-    if "budget" in params:
-        _as_int(params["budget"], "parameters.budget", minimum=1)
-    if subcommand == "distance":
-        if len(measures) < 2:
-            raise SchemaError("measures", "distance needs two measures")
-        if params.get("metrics") == []:
-            raise SchemaError("parameters.metrics", "expected at least one metric")
-        for i, metric in enumerate(params.get("metrics", [])):
-            path = f"parameters.metrics[{i}]"
-            if not isinstance(metric, dict):
-                raise SchemaError(path, "expected an object")
-            name = metric.get("name")
-            if name not in ("DN", "Dr", "wasserstein", "components"):
-                raise SchemaError(f"{path}.name", f"unknown metric {name!r}")
-            for key in ("N", "r1", "r2", "p"):
-                if key in metric:
-                    _as_number(metric[key], f"{path}.{key}")
-    elif subcommand == "divergence":
-        if len(measures) != 2:
-            raise SchemaError("measures", "divergence needs exactly two measures")
-        name = params.get("name", "tv")
-        if name not in ("tv", "hellinger"):
-            raise SchemaError("parameters.name", f"unknown divergence {name!r}")
-        _as_int(params.get("N", 1), "parameters.N", minimum=1)
-    elif subcommand == "identify":
-        if len(measures) != 1:
-            raise SchemaError("measures", "identify needs exactly one measure")
-        for i, n in enumerate(_values(params, "n_grid", [1])):
-            _as_int(n, f"parameters.n_grid[{i}]", minimum=1)
-        _number_list(params, "direction")
-    elif subcommand == "witness":
-        if len(measures) != 1:
-            raise SchemaError("measures", "witness needs exactly one measure")
-        for i, a in enumerate(_values(params, "a", WITNESS_A)):
-            if _as_number(a, f"parameters.a[{i}]") <= 0:
-                raise SchemaError(f"parameters.a[{i}]", "must be positive")
-    elif subcommand == "probe":
-        name = _require(params, "name", "parameters.name")
-        if name not in PROBE_NAMES:
-            raise SchemaError("parameters.name", f"unknown probe {name!r}")
-        if len(measures) != 1:
-            raise SchemaError("measures", "probe needs exactly one base measure")
-        if name in ("inverse_ratio", "impact_Dr"):
-            _require(params, "direction", "parameters.direction")
-        for key in ("direction", "ell_grid", "N_grid", "eps_grid"):
-            _number_list(params, key)
-        if name == "inverse_ratio":
-            _as_int(_require(params, "N", "parameters.N"), "parameters.N", minimum=1)
-        if name == "impact_Dr":
-            if _as_number(_require(params, "r", "parameters.r"), "parameters.r") < 1:
-                raise SchemaError("parameters.r", "order must be >= 1")
-        if name == "sqrtN_sharpness":
-            _as_number(
-                _require(params, "psi_exponent", "parameters.psi_exponent"),
-                "parameters.psi_exponent",
-            )
-    elif subcommand == "minimax":
-        for key in ("m", "N", "gamma", "beta0", "a"):
-            _require(params, key, f"parameters.{key}")
-        for key in ("m", "N"):
-            for i, v in enumerate(_values(params, key)):
-                _as_number(v, f"parameters.{key}[{i}]")
-        for key in ("gamma", "beta0", "a"):
-            _as_number(params[key], f"parameters.{key}")
-    elif subcommand == "posterior-sim":
-        if len(measures) != 1:
-            raise SchemaError("measures", "posterior-sim needs the true measure")
-        m_grid = _require(params, "m_grid", "parameters.m_grid")
-        if not isinstance(m_grid, list) or len(m_grid) < 2:
-            raise SchemaError("parameters.m_grid", "need at least two dataset sizes")
-        for i, m in enumerate(m_grid):
-            _as_int(m, f"parameters.m_grid[{i}]", minimum=3)
-        law = _require(params, "length_law", "parameters.length_law")
-        if not isinstance(law, list) or not law:
-            raise SchemaError("parameters.length_law", "expected a nonempty list")
-        for i, n in enumerate(law[1:], start=1):
-            _as_int(n, f"parameters.length_law[{i}]", minimum=1)
-        try:
-            _resolve_length_law(law)
-        except InvalidParameter as err:
-            raise SchemaError("parameters.length_law", str(err)) from err
-        _as_int(params.get("replicates", 1), "parameters.replicates", minimum=1)
-        _chain_specs(params, kernel)
-
-
 def parse_config(text):
-    """Validate a JSON experiment document; SchemaError names the bad field."""
+    """Validate a JSON experiment document against SCHEMA; SchemaError names
+    the bad field. Parameters come back typed, with defaults filled in."""
     if isinstance(text, (dict, list)):
         doc = text
     else:
@@ -267,42 +269,21 @@ def parse_config(text):
             raise SchemaError("$", f"not valid JSON: {err}") from err
     if not isinstance(doc, dict):
         raise SchemaError("$", "top-level document must be an object")
-    subcommand = _require(doc, "subcommand", "subcommand")
-    if subcommand not in SUBCOMMANDS:
-        raise SchemaError("subcommand", f"unknown subcommand {subcommand!r}")
-    seed = _as_int(_require(doc, "seed", "seed"), "seed")
-    workers = _as_int(doc.get("workers", 1), "workers", minimum=1)
-    out = doc.get("out", ".")
-    if not isinstance(out, str):
-        raise SchemaError("out", "expected a directory path string")
-
-    kernel = None
-    if "kernel" in doc:
-        if not isinstance(doc["kernel"], dict):
-            raise SchemaError("kernel", "expected an object")
+    doc = _check(SCHEMA, doc, "")
+    kernel, params = doc["kernel"], doc["parameters"]
+    if kernel is not None:
+        for i, G in enumerate(doc["measures"]):
+            for j, atom in enumerate(G.atoms):
+                try:
+                    kernel.check_theta(atom)
+                except MixLabError as err:
+                    raise SchemaError(f"measures[{i}].atoms[{j}]", str(err)) from err
+    if params.get("prior_box") is not None:
         try:
-            kernel = kernel_from_spec(doc["kernel"])
-        except MixLabError as err:
-            raise SchemaError("kernel", str(err)) from err
-        except (KeyError, TypeError) as err:
-            raise SchemaError("kernel", f"malformed kernel spec: {err}") from err
-    elif subcommand in KERNEL_REQUIRED:
-        raise SchemaError("kernel", f"{subcommand} requires a kernel spec")
-
-    measures = _parse_measures(doc, kernel)
-    parameters = doc.get("parameters", {})
-    if not isinstance(parameters, dict):
-        raise SchemaError("parameters", "expected an object")
-    _validate_parameters(subcommand, parameters, measures, kernel)
-    return ExperimentConfig(
-        subcommand=subcommand,
-        seed=seed,
-        kernel=kernel,
-        measures=measures,
-        parameters=parameters,
-        workers=workers,
-        out=out,
-    )
+            params["prior_box"] = PriorSpec(kernel, params["prior_box"])
+        except InvalidParameter as err:
+            raise SchemaError("parameters.prior_box", str(err)) from err
+    return ExperimentConfig(**dict(doc, measures=tuple(doc["measures"])))
 
 
 def _fmt(value):
@@ -317,20 +298,18 @@ def _fmt(value):
 
 def _run_distance(config):
     G, G2 = config.measures[0], config.measures[1]
-    metrics = config.parameters.get("metrics", [{"name": "DN", "N": 1}])
     rows = []
-    for metric in metrics:
+    for metric in config.parameters["metrics"]:
         name = metric["name"]
         if name == "DN":
-            N = metric.get("N", 1)
+            N = metric["N"]
             rows.append(("DN", f"N={_fmt(N)}", distance_DN(G, G2, N)))
         elif name == "Dr":
-            r1 = metric.get("r1", 1)
-            r2 = metric.get("r2", 1)
+            r1, r2 = metric["r1"], metric["r2"]
             value = distance_Dr1r2(G, G2, r1, r2)
             rows.append(("Dr", f"r1={_fmt(r1)},r2={_fmt(r2)}", value))
         elif name == "wasserstein":
-            p = metric.get("p", 1)
+            p = metric["p"]
             rows.append(("wasserstein", f"p={_fmt(p)}", wasserstein(G, G2, p)))
         else:
             d_theta, d_p = atom_and_weight_distances(G, G2)
@@ -348,19 +327,11 @@ def _run_distance(config):
 
 
 def _run_divergence(config):
-    params = config.parameters
-    name = params.get("name", "tv")
-    N = params.get("N", 1)
-    estimate = estimate_divergence(
-        config.measures[0],
-        config.measures[1],
-        config.kernel,
-        N,
-        name,
-        budget=params.get("budget", MC_DEFAULT_BUDGET),
-        seed=config.seed,
-        workers=config.workers,
-    )
+    params = dict(config.parameters)
+    name, N = params.pop("name"), params.pop("N")
+    G, G2 = config.measures
+    estimate = estimate_divergence(G, G2, config.kernel, N, name, seed=config.seed,
+                                   workers=config.workers, **params)
     header = ("divergence", "N", "method", "value", "stderr")
     rows = [(name, N, estimate.method, estimate.value, estimate.stderr)]
     envelope = {
@@ -383,12 +354,12 @@ def _run_identify(config):
     envelope = {"subcommand": "identify", "seed": config.seed, "kernel": kernel.name}
     if kernel.points is not None:
         k = G.k
-        n_values = _values(params, "n_grid", list(range(1, 2 * k + 2)))
+        n_values = params["n_grid"] if "n_grid" in params else range(1, 2 * k + 2)
         ranks = {}
         for n in n_values:
-            report = bernoulli_first_order_system(G, int(n))
-            rows.append(("rank", int(n), report.rank))
-            ranks[int(n)] = report.rank
+            report = bernoulli_first_order_system(G, n)
+            rows.append(("rank", n, report.rank))
+            ranks[n] = report.rank
         full = 2 * k
         identified = [n for n, r in ranks.items() if r == full]
         length = min(identified) if identified else None
@@ -397,13 +368,12 @@ def _run_identify(config):
             {"n": int(n), "rank": int(r)} for n, r in sorted(ranks.items())
         ]
     else:
-        gram = first_order_gram(kernel, G.atoms, params.get("grid", "auto"))
+        grid = [params["grid"]] if "grid" in params else []
+        gram = first_order_gram(kernel, G.atoms, *grid)
         rows.append(("gram_min_eigenvalue", 0, gram))
         envelope["gram_min_eigenvalue"] = float(gram)
         if "direction" in params:
-            residual = degenerate_direction_check(
-                kernel, G, params["direction"], params.get("grid", "auto")
-            )
+            residual = degenerate_direction_check(kernel, G, params["direction"], *grid)
             rows.append(("direction_residual", 0, residual))
             envelope["direction_residual"] = float(residual)
     return ("quantity", "index", "value"), rows, envelope
@@ -411,11 +381,10 @@ def _run_identify(config):
 
 def _run_witness(config):
     G = config.measures[0]
-    values = _values(config.parameters, "a", WITNESS_A)
     kernel = BernoulliKernel()
     rows = []
     found = []
-    for a in values:
+    for a in config.parameters["a"]:
         witness = bernoulli_nonidentifiable_witness(G, float(a))
         tv_next = estimate_divergence(
             witness.original, witness.witness, kernel, witness.n + 1, "tv"
@@ -442,74 +411,37 @@ def _run_witness(config):
     return ("a", "quantity", "value"), rows, envelope
 
 
+# Probe name: the function of mixlab.probes it runs, and the run's arguments
+# that function takes besides G0 and the probe's own parameters.
+PROBE_CALLS = {
+    "inverse_ratio": ("inverse_ratio_probe", ("kernel", "seed", "workers")),
+    "impact_Dr": ("impact_probe_Dr", ("kernel", "seed", "workers")),
+    "curvature_locscale": ("curvature_probe_locscale", ()),
+    "sqrtN_sharpness": ("sqrtN_sharpness_probe", ("kernel",)),
+}
+
+
 def _run_probe(config):
-    params = config.parameters
-    name = params["name"]
-    G0 = config.measures[0]
-    common = {}
-    if "ell_grid" in params:
-        common["ell_grid"] = tuple(params["ell_grid"])
-    if name == "inverse_ratio":
-        report = inverse_ratio_probe(
-            config.kernel,
-            G0,
-            params["direction"],
-            params["N"],
-            budget=params.get("budget", MC_DEFAULT_BUDGET),
-            seed=config.seed,
-            workers=config.workers,
-            **common,
-        )
-    elif name == "impact_Dr":
-        report = impact_probe_Dr(
-            config.kernel,
-            G0,
-            params["direction"],
-            params["r"],
-            budget=params.get("budget", MC_DEFAULT_BUDGET),
-            seed=config.seed,
-            workers=config.workers,
-            **common,
-        )
-    elif name == "curvature_locscale":
-        report = curvature_probe_locscale(G0, **common)
-    else:
-        extra = {}
-        if "N_grid" in params:
-            extra["N_grid"] = tuple(params["N_grid"])
-        if "eps_grid" in params:
-            extra["eps_grid"] = tuple(params["eps_grid"])
-        report = sqrtN_sharpness_probe(
-            config.kernel,
-            G0,
-            params["psi_exponent"],
-            atom_index=params.get("atom_index", 0),
-            coordinate=params.get("coordinate", 0),
-            **extra,
-        )
-    records = report.row_records()
-    header = (
-        "probe",
-        "series",
-        "index",
-        "numerator",
-        "numerator_stderr",
-        "denominator",
-        "ratio",
-        "method",
+    params = dict(config.parameters)
+    function, context = PROBE_CALLS[params.pop("name")]
+    run_args = {"kernel": config.kernel, "seed": config.seed, "workers": config.workers}
+    report = getattr(probes, function)(
+        G0=config.measures[0], **{key: run_args[key] for key in context}, **params
     )
+    records = report.row_records()
+    header = ("probe", "series", "index", "numerator", "numerator_stderr",
+              "denominator", "ratio", "method")
     rows = [tuple(record[key] for key in header) for record in records]
     return header, rows, report.verdict_envelope()
 
 
 def _run_minimax(config):
     params = config.parameters
-    m_values, N_values = _values(params, "m"), _values(params, "N")
     gamma, beta0, a = params["gamma"], params["beta0"], params["a"]
     rows = []
-    for m in m_values:
-        for N in N_values:
-            bound = lecam_two_point_bound(m, N, gamma, beta0, a)
+    for m in params["m"]:
+        for N in params["N"]:
+            bound = probes.lecam_two_point_bound(m, N, gamma, beta0, a)
             rows.append((m, N, gamma, beta0, a, bound))
     envelope = {
         "subcommand": "minimax",
@@ -527,33 +459,15 @@ def _run_minimax(config):
 
 def _run_posterior_sim(config):
     params = config.parameters
-    chain_config, prior = _chain_specs(params, config.kernel)
     report = contraction_experiment(
-        config.kernel,
-        config.measures[0],
-        tuple(params["m_grid"]),
-        tuple(params["length_law"]),
-        params.get("replicates", 1),
-        chain_config,
-        config.seed,
-        prior=prior,
-        workers=config.workers,
+        config.kernel, config.measures[0], tuple(params["m_grid"]),
+        tuple(params["length_law"]), params["replicates"], params["mcmc"],
+        config.seed, prior=params["prior_box"], workers=config.workers,
     )
     records = report.row_records()
     header = tuple(records[0].keys())
     rows = [tuple(record[key] for key in header) for record in records]
     return header, rows, report.slope_envelope()
-
-
-_RUNNERS = {
-    "distance": _run_distance,
-    "divergence": _run_divergence,
-    "identify": _run_identify,
-    "witness": _run_witness,
-    "probe": _run_probe,
-    "minimax": _run_minimax,
-    "posterior-sim": _run_posterior_sim,
-}
 
 
 def _write_atomic(path, data):
@@ -575,10 +489,10 @@ def run(config):
     Reports are computed fully in memory first, then written atomically, so
     a propagated module error leaves no partial outputs behind.
     """
-    header, rows, envelope = _RUNNERS[config.subcommand](config)
+    stem = config.subcommand.replace("-", "_")
+    header, rows, envelope = globals()[f"_run_{stem}"](config)
     out_dir = config.out or "."
     os.makedirs(out_dir, exist_ok=True)
-    stem = config.subcommand.replace("-", "_")
     csv_path = os.path.join(out_dir, f"{stem}.csv")
     json_path = os.path.join(out_dir, f"{stem}.json")
 
@@ -601,14 +515,12 @@ def run(config):
 
 
 def run_with_overrides(config, seed=None, workers=None, out=None):
-    """Apply CLI/environment overrides and run."""
-    updates = {}
-    if seed is not None:
-        updates["seed"] = _as_int(seed, "seed")
-    if workers is not None:
-        updates["workers"] = _as_int(workers, "workers", minimum=1)
-    if out is not None:
-        updates["out"] = out
-    if updates:
-        config = replace(config, **updates)
-    return run(config)
+    """Apply CLI/environment overrides, checked by the config's own rows, and
+    run."""
+    given = {"seed": seed, "workers": workers, "out": out}
+    updates = {
+        key: _check(SCHEMA.fields[key][0], value, key)
+        for key, value in given.items()
+        if value is not None
+    }
+    return run(replace(config, **updates))

@@ -70,7 +70,10 @@ class MixingMeasure:
     weights: np.ndarray
 
     def __post_init__(self):
-        atoms = np.atleast_1d(np.asarray(self.atoms, dtype=float))
+        try:
+            atoms = np.atleast_1d(np.asarray(self.atoms, dtype=float))
+        except ValueError as err:  # ragged or non-numeric atoms
+            raise InvalidMeasure(f"atoms must be a k x q array: {err}") from err
         if atoms.ndim == 1:
             atoms = atoms[:, None]
         if atoms.ndim != 2 or atoms.shape[0] < 1:

@@ -170,7 +170,7 @@ def prior_sample(prior, k0, rng):
     raise ConvergenceError("atom draws kept colliding; check the prior box")
 
 
-def _likelihood_evaluator(kernel, dataset):
+def _likelihood_evaluator(kernel, dataset, prior):
     """Callable (atoms, log_weights) -> total log likelihood of the dataset.
 
     Kernels with an ``expfam`` see a sequence only through its length n_j
@@ -179,8 +179,10 @@ def _likelihood_evaluator(kernel, dataset):
     counts @ logsumexp(log w + S eta(theta)^T - n A(eta(theta))) plus that
     constant, at O(rows * k). Other kernels evaluate the log density on the
     concatenated samples and segment-sum per sequence. InvalidParameter
-    names a value outside a discrete kernel's points or with an infinite
-    log-carrier (outside the support for every theta).
+    names a value outside a discrete kernel's points, with an infinite
+    log-carrier, or with zero density at every corner of the prior box: the
+    support of each kernel grows toward a corner, so such a value has zero
+    density for every theta in the box.
     """
     if dataset is None:
         return lambda atoms, log_weights: 0.0
@@ -189,7 +191,9 @@ def _likelihood_evaluator(kernel, dataset):
     starts = np.concatenate([[0], np.cumsum(lengths)[:-1]])
     spec = kernel.expfam
     carrier = np.zeros(concat.shape) if spec is None else spec.log_carrier(concat)
+    corners = np.array(list(itertools.product(*prior.box)))
     bad = ~np.isfinite(carrier)
+    bad |= np.isneginf(kernel.log_density(concat, corners)).all(axis=0)
     if kernel.points is not None:
         bad |= ~np.isin(concat, kernel.points)
     if bad.any():
@@ -226,7 +230,7 @@ def log_posterior_unnorm(G, dataset, kernel, prior):
     log_prior = prior.log_density(G)
     if log_prior == float("-inf"):
         return float("-inf")
-    loglik = _likelihood_evaluator(kernel, dataset)
+    loglik = _likelihood_evaluator(kernel, dataset, prior)
     log_weights = np.log(G.weights)
     return loglik(G.atoms, log_weights) + log_prior
 
@@ -268,7 +272,7 @@ def mcmc_run(dataset, kernel, prior, k0, config, rng):
         seed = int(rng)
         rng = np.random.default_rng(seed)
 
-    loglik = _likelihood_evaluator(kernel, dataset)
+    loglik = _likelihood_evaluator(kernel, dataset, prior)
     k0 = int(k0)
     lo, hi = prior.box[:, 0], prior.box[:, 1]
     widths = prior.widths

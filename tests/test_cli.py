@@ -499,6 +499,14 @@ def _identify_with(**parameters):
     return dict(_probe_with(), subcommand="identify", parameters=parameters)
 
 
+def _divergence_with_kernel(family, params_fixed):
+    doc = dict(TestDeterminism.MC_DOC)
+    doc["kernel"] = {"family": family, "params_fixed": params_fixed}
+    if family == "gaussian_location":
+        doc["measures"] = WEIGHT_SHIFT["measures"]
+    return doc
+
+
 CONFIG_FAULTS = {
     "mcmc_not_object": _posterior_sim_with(mcmc=5),
     "burn_fraction_string": _posterior_sim_with(mcmc_burn_fraction="x"),
@@ -534,13 +542,47 @@ CONFIG_FAULTS = {
     "distance_Dr_r1_string": dict(
         WEIGHT_SHIFT, parameters={"metrics": [{"name": "Dr", "r1": "x"}]}
     ),
+    "misspelt_parameter": dict(
+        TestDeterminism.MC_DOC, parameters={"nmae": "hellinger", "N": 3}
+    ),
+    "misspelt_top_level_key": dict(WEIGHT_SHIFT, kernal={"family": "bernoulli"}),
+    "misspelt_params_fixed_key": _divergence_with_kernel(
+        "gaussian_location", {"sigmaa": 2.0}
+    ),
+    "params_fixed_string": _divergence_with_kernel("gaussian_location", "x"),
+    "gamma_normalized_string": _divergence_with_kernel("gamma", {"normalized": "no"}),
+    "mixture_k_fraction": {
+        "subcommand": "identify",
+        "seed": 1,
+        "kernel": {"family": "gaussian_location_mixture", "params_fixed": {"k": 2.5}},
+        "measures": [{"atoms": [[0.5, -1.0, 1.0]], "weights": [1.0]}],
+    },
+    "probe_atom_index_string": dict(
+        _probe_with(),
+        parameters={"name": "sqrtN_sharpness", "psi_exponent": 1.0, "atom_index": "x"},
+    ),
+    "identify_grid_empty": _identify_with(grid={}),
+    "identify_grid_points_string": _identify_with(grid={"points": "x"}),
+    "kernel_sigma_nan": dict(
+        _divergence_with_kernel("gaussian_location", {"sigma": float("nan")}),
+        parameters={"name": "tv", "N": 2},
+    ),
+    "probe_N_grid_infinite": dict(
+        _probe_with(),
+        parameters={
+            "name": "sqrtN_sharpness", "psi_exponent": 1.0, "N_grid": [1, float("inf")]
+        },
+    ),
+    "seed_negative": dict(TestDeterminism.MC_DOC, seed=-1),
+    "seed_flag_negative": (TestDeterminism.MC_DOC, ["--seed", "-1"]),
 }
 
 
 class TestConfigFaults:
     @pytest.mark.parametrize("name", sorted(CONFIG_FAULTS))
     def test_fault_exits_with_error_line(self, tmp_path, name):
-        doc = CONFIG_FAULTS[name]
+        entry = CONFIG_FAULTS[name]
+        doc, flags = entry if isinstance(entry, tuple) else (entry, [])
         config = tmp_path / "config.json"
         config.write_text(json.dumps(doc))
         env = dict(os.environ)
@@ -548,7 +590,7 @@ class TestConfigFaults:
         proc = subprocess.run(
             [
                 sys.executable, "-m", "mixlab.cli", doc["subcommand"],
-                "--config", str(config), "--out", str(tmp_path / "out"),
+                "--config", str(config), "--out", str(tmp_path / "out"), *flags,
             ],
             capture_output=True, text=True, env=env,
         )

@@ -6,6 +6,7 @@ import pathlib
 import pytest
 
 import mixlab
+from mixlab.lab import SCHEMA, Build, Either, Obj, Seq
 
 MODULES = sorted(
     path
@@ -69,3 +70,28 @@ def function_imports(path):
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_imports_only_at_module_level(path):
     assert function_imports(path) == []
+
+
+def schema_field_names(spec):
+    """Every field name that the config schema below spec accepts."""
+    if isinstance(spec, Build):
+        return schema_field_names(spec.spec)
+    if isinstance(spec, Either):
+        return schema_field_names(spec.other) | schema_field_names(spec.obj)
+    if isinstance(spec, Seq):
+        return schema_field_names(spec.item) | schema_field_names(spec.head)
+    if not isinstance(spec, Obj):
+        return set()
+    names = {spec.tag} - {None}
+    for fields in [spec.fields, *(spec.variants or {}).values()]:
+        names |= set(fields)
+        for field, _ in fields.values():
+            names |= schema_field_names(field)
+    return names
+
+
+def test_readme_names_every_config_field():
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    names = schema_field_names(SCHEMA)
+    assert len(names) > 40
+    assert sorted(name for name in names if f"`{name}`" not in readme) == []

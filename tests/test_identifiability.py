@@ -283,6 +283,25 @@ class TestFirstOrderGram:
         with pytest.raises(InvalidParameter):
             first_order_gram(GammaKernel(), [[2.0], [3.0]])
 
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            {},
+            {"points": "x"},
+            {"points": [0.0, "a"]},
+            {"points": [0.0, 1.0], "weights": "x"},
+        ],
+        ids=["no_points", "points_string", "point_string", "weights_string"],
+    )
+    def test_malformed_explicit_grid_rejected(self, grid):
+        G0 = MixingMeasure(np.array([[0.0], [1.0]]), np.array([0.5, 0.5]))
+        kernel = GaussianLocationKernel(1.0)
+        with pytest.raises(InvalidParameter):
+            first_order_gram(kernel, G0.atoms, grid)
+        if "weights" not in grid:  # the residual check reads only the points
+            with pytest.raises(InvalidParameter):
+                degenerate_direction_check(kernel, G0, [1.0, 0.0, 0.5, -0.5], grid)
+
 
 class TestDegenerateDirectionCheck:
     def test_gamma_known_direction_vanishes(self):

@@ -46,6 +46,12 @@ class TestMixingMeasure:
         with pytest.raises(InvalidMeasure):
             two_atom([0.5, np.inf], [0.5, 0.5])
 
+    def test_ragged_or_non_numeric_atoms_rejected(self):
+        with pytest.raises(InvalidMeasure):
+            MixingMeasure([[0.2, 0.3], [0.5]], [0.5, 0.5])
+        with pytest.raises(InvalidMeasure):
+            MixingMeasure(["a", "b"], [0.5, 0.5])
+
     def test_single_atom_rho_inf(self):
         G = MixingMeasure(np.array([[1.0, 2.0]]), np.array([1.0]))
         assert G.rho == np.inf

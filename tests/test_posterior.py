@@ -178,22 +178,41 @@ class TestLogPosterior:
         assert value == pytest.approx(direct + prior.log_density(G), abs=1e-10)
 
     @pytest.mark.parametrize(
-        "kernel, seq, bad",
+        "kernel, seq, bad, box",
         [
-            (BERN, [2.0, 0.0, 1.0], "2.0"),
-            (BERN, [0.5, 0.0, 1.0], "0.5"),
-            (GammaKernel(), [1.0, 0.0, 2.0], "0.0"),
+            (BERN, [2.0, 0.0, 1.0], "2.0", [[0.01, 0.99]]),
+            (BERN, [0.5, 0.0, 1.0], "0.5", [[0.01, 0.99]]),
+            (GammaKernel(), [1.0, 0.0, 2.0], "0.0", [[0.01, 0.99]] * 2),
+            (UniformKernel(), [1.0, -0.5, 2.0], "-0.5", [[1.0, 5.0]]),
+            (GammaKernel(normalized=False), [1.0, 0.0, 2.0], "0.0", [[0.01, 0.99]] * 2),
         ],
-        ids=["bernoulli_two", "bernoulli_fraction", "gamma_zero"],
+        ids=[
+            "bernoulli_two",
+            "bernoulli_fraction",
+            "gamma_zero",
+            "uniform_negative",
+            "gamma_unnormalized_zero",
+        ],
     )
-    def test_values_outside_support_rejected(self, kernel, seq, bad):
-        prior = PriorSpec(kernel, np.array([[0.01, 0.99]] * kernel.q))
-        G = MixingMeasure(np.full((1, kernel.q), 0.5), [1.0])
+    def test_values_outside_support_rejected(self, kernel, seq, bad, box):
+        prior = PriorSpec(kernel, np.array(box))
+        G = MixingMeasure(prior.box.mean(axis=1)[None, :], [1.0])
         data = ExchangeableDataset([np.array([1.0, 1.0]), np.array(seq)])
         with pytest.raises(InvalidParameter, match=f"value {bad} outside"):
             log_posterior_unnorm(G, data, kernel, prior)
         with pytest.raises(InvalidParameter, match=f"value {bad} outside"):
             mcmc_run(data, kernel, prior, 1, MCMCConfig(steps=50), 3)
+
+    def test_uniform_chain_may_start_below_the_data_maximum(self):
+        # Every start below max(x) = 4.5 has log target -inf; the chain moves
+        # on until it finds the support instead of refusing the data.
+        kernel = UniformKernel()
+        prior = PriorSpec(kernel, np.array([[1.0, 5.0]]))
+        data = ExchangeableDataset([np.array([1.0, 4.5]), np.array([2.0, 3.0])])
+        start = prior_sample(prior, 1, np.random.default_rng(5))
+        assert start.atoms[0, 0] < 4.5
+        chain = mcmc_run(data, kernel, prior, 1, MCMCConfig(steps=200), 5)
+        assert all(G.atoms[0, 0] > 4.5 for G in chain.draws)
 
 
 class TestMCMCConfig:
