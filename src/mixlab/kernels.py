@@ -895,7 +895,8 @@ def moment_map(kernel, theta):
 
 
 KERNEL_BUILDERS = {
-    "bernoulli": BernoulliKernel,
+    # The count law Binomial(trials, theta) is built directly, not by name.
+    "bernoulli": lambda: BernoulliKernel(),
     "gaussian_location": GaussianLocationKernel,
     "gamma": GammaKernel,
     "uniform": UniformKernel,

@@ -40,7 +40,7 @@ from .posterior import (
 )
 from .products import estimate_divergence
 
-# A field's default is a value (checked like a given one; None is kept as is),
+# A field's default is a value (checked like a given one),
 # REQUIRED (the document must give the field) or OMITTED (an absent field stays
 # absent, so the default of the API function the field feeds applies).
 REQUIRED, OMITTED = object(), object()
@@ -145,7 +145,7 @@ SCHEMA = Obj(
     {
         "distance": _subcommand(Obj({
             "metrics": (Seq(METRIC, min_len=1), [{"name": "DN", "N": 1}]),
-        }), kernel=None, measures=(2, None)),
+        }), kernel=OMITTED, measures=(2, None)),
         "divergence": _subcommand(Obj({
             "name": (Scalar(("tv", "hellinger")), "tv"),
             "N": (COUNT, 1),
@@ -158,7 +158,7 @@ SCHEMA = Obj(
         })),
         "witness": _subcommand(Obj({
             "a": (Seq(Scalar("number", 0, strict=True), 1, scalar=True), [1.0, 2.0]),
-        }), kernel=None),
+        }), kernel=OMITTED),
         "probe": _subcommand(PROBE),
         "minimax": _subcommand(Obj({
             "m": (Seq(NUMBER, min_len=1, scalar=True), REQUIRED),
@@ -166,14 +166,14 @@ SCHEMA = Obj(
             "gamma": (NUMBER, REQUIRED),
             "beta0": (NUMBER, REQUIRED),
             "a": (NUMBER, REQUIRED),
-        }), kernel=None, measures=(0, None)),
+        }), kernel=OMITTED, measures=(0, None)),
         "posterior-sim": _subcommand(Obj({
             "m_grid": (Seq(Scalar("integer", 3), min_len=2), REQUIRED),
             "length_law": (Build(Seq(COUNT, 1, head=Scalar("string")), _length_law),
                            REQUIRED),
             "replicates": (COUNT, 1),
             "mcmc": (MCMC, {}),
-            "prior_box": (Seq(Seq(NUMBER, 2, 2)), None),
+            "prior_box": (Seq(Seq(NUMBER, 2, 2)), OMITTED),
         })),
     },
 )
@@ -237,8 +237,6 @@ def _check(spec, value, path):
             out[key] = _check(field, value[key], prefix + key)
         elif default is REQUIRED:
             raise SchemaError(prefix + key, "required field is missing")
-        elif default is None:
-            out[key] = None
         elif default is not OMITTED:
             out[key] = _check(field, default, prefix + key)
     return out
@@ -270,7 +268,7 @@ def parse_config(text):
     if not isinstance(doc, dict):
         raise SchemaError("$", "top-level document must be an object")
     doc = _check(SCHEMA, doc, "")
-    kernel, params = doc["kernel"], doc["parameters"]
+    kernel, params = doc.get("kernel"), doc["parameters"]
     if kernel is not None:
         for i, G in enumerate(doc["measures"]):
             for j, atom in enumerate(G.atoms):
@@ -278,12 +276,12 @@ def parse_config(text):
                     kernel.check_theta(atom)
                 except MixLabError as err:
                     raise SchemaError(f"measures[{i}].atoms[{j}]", str(err)) from err
-    if params.get("prior_box") is not None:
+    if "prior_box" in params:
         try:
             params["prior_box"] = PriorSpec(kernel, params["prior_box"])
         except InvalidParameter as err:
             raise SchemaError("parameters.prior_box", str(err)) from err
-    return ExperimentConfig(**dict(doc, measures=tuple(doc["measures"])))
+    return ExperimentConfig(**dict(doc, kernel=kernel, measures=tuple(doc["measures"])))
 
 
 def _fmt(value):
@@ -462,7 +460,7 @@ def _run_posterior_sim(config):
     report = contraction_experiment(
         config.kernel, config.measures[0], tuple(params["m_grid"]),
         tuple(params["length_law"]), params["replicates"], params["mcmc"],
-        config.seed, prior=params["prior_box"], workers=config.workers,
+        config.seed, prior=params.get("prior_box"), workers=config.workers,
     )
     records = report.row_records()
     header = tuple(records[0].keys())

@@ -67,12 +67,16 @@ class PriorSpec:
             raise InvalidParameter("prior box bounds must be finite")
         if not np.all(box[:, 0] < box[:, 1]):
             raise InvalidParameter("prior box needs lower < upper per coordinate")
-        corners = np.array(list(itertools.product(*box)))
-        if not np.all(self.kernel.in_box(corners)):
-            raise InvalidParameter("prior box must sit inside the kernel parameter box")
         box = box.copy()
         box.flags.writeable = False
         object.__setattr__(self, "box", box)
+        if not np.all(self.kernel.in_box(self.corners)):
+            raise InvalidParameter("prior box must sit inside the kernel parameter box")
+
+    @property
+    def corners(self):
+        """The 2^q corners of the box, one per row."""
+        return np.array(list(itertools.product(*self.box)))
 
     @property
     def q(self):
@@ -191,11 +195,16 @@ def _likelihood_evaluator(kernel, dataset, prior):
     starts = np.concatenate([[0], np.cumsum(lengths)[:-1]])
     spec = kernel.expfam
     carrier = np.zeros(concat.shape) if spec is None else spec.log_carrier(concat)
-    corners = np.array(list(itertools.product(*prior.box)))
     bad = ~np.isfinite(carrier)
-    bad |= np.isneginf(kernel.log_density(concat, corners)).all(axis=0)
     if kernel.points is not None:
         bad |= ~np.isin(concat, kernel.points)
+    # One corner at a time keeps the memory at O(sum n_j) for any q.
+    outside = np.ones(concat.shape, dtype=bool)
+    for corner in prior.corners:
+        outside &= np.isneginf(kernel.log_density(concat, corner[None]))[0]
+        if not outside.any():
+            break
+    bad |= outside
     if bad.any():
         raise InvalidParameter(
             f"{kernel.name}: data value {float(concat[bad][0])!r} outside the support"

@@ -512,3 +512,9 @@ class TestKernelFromSpec:
     def test_unknown_family(self):
         with pytest.raises(InvalidParameter):
             kernel_from_spec({"family": "cauchy"})
+
+    def test_unknown_fixed_parameter(self):
+        with pytest.raises(InvalidParameter):
+            kernel_from_spec({"family": "bernoulli", "params_fixed": {"trials": 3}})
+        with pytest.raises(InvalidParameter):
+            kernel_from_spec({"family": "gaussian_location", "params_fixed": {"sigmaa": 2.0}})

@@ -14,6 +14,7 @@ from mixlab.kernels import (
     BernoulliKernel,
     GammaKernel,
     GaussianLocationKernel,
+    GaussianLocationMixtureKernel,
     UniformKernel,
 )
 from mixlab.measures import (
@@ -157,8 +158,13 @@ class TestLogPosterior:
             (GAUSS, [[-3.0, 3.0]], [[-1.0], [1.5]]),
             (GammaKernel(), [[0.5, 5.0], [0.5, 5.0]], [[1.5, 2.0], [3.0, 1.0]]),
             (UniformKernel(), [[1.0, 5.0]], [[2.5], [4.0]]),
+            (
+                GaussianLocationMixtureKernel(k=2),
+                [[0.2, 0.8], [-3.0, -1.0], [1.0, 3.0]],
+                [[0.4, -2.0, 2.0], [0.6, -1.5, 1.5]],
+            ),
         ],
-        ids=["gaussian", "gamma", "uniform"],
+        ids=["gaussian", "gamma", "uniform", "gaussian_mixture"],
     )
     def test_continuous_kernel_matches_direct_sum(self, kernel, box, atoms):
         prior = PriorSpec(kernel, np.array(box))
@@ -202,6 +208,26 @@ class TestLogPosterior:
             log_posterior_unnorm(G, data, kernel, prior)
         with pytest.raises(InvalidParameter, match=f"value {bad} outside"):
             mcmc_run(data, kernel, prior, 1, MCMCConfig(steps=50), 3)
+
+    def test_support_check_reads_one_corner_at_a_time(self, monkeypatch):
+        # A q = 5 box has 32 corners; the check never builds a
+        # corners x samples array, so its memory stays O(sum n_j).
+        kernel = GaussianLocationMixtureKernel(k=3)
+        box = [[0.1, 0.3], [0.1, 0.3], [-3.0, -2.0], [-1.0, 1.0], [2.0, 3.0]]
+        prior = PriorSpec(kernel, np.array(box))
+        rows = []
+        log_density = kernel.log_density
+
+        def spy(x, theta):
+            rows.append(np.shape(theta)[0])
+            return log_density(x, theta)
+
+        monkeypatch.setattr(kernel, "log_density", spy)
+        G = MixingMeasure(prior.box.mean(axis=1)[None, :], [1.0])
+        rng = np.random.default_rng(4)
+        data = ExchangeableDataset([rng.normal(size=n) for n in (3, 4, 2)])
+        assert np.isfinite(log_posterior_unnorm(G, data, kernel, prior))
+        assert rows and set(rows) == {1}
 
     def test_uniform_chain_may_start_below_the_data_maximum(self):
         # Every start below max(x) = 4.5 has log target -inf; the chain moves
