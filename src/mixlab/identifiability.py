@@ -165,8 +165,7 @@ def bernoulli_first_order_system(G, n):
         1 - t
     ) ** (n - s - 1)
     A = np.hstack([derivs, values])
-    sing = np.linalg.svd(A, compute_uv=False)
-    _, _, vt = np.linalg.svd(A)
+    _, sing, vt = np.linalg.svd(A)
     tol = sing.max() * max(A.shape) * RANK_TOL_FACTOR
     rank = int((sing > tol).sum())
     nullspace = vt[rank:].T.copy()

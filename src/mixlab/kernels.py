@@ -7,6 +7,7 @@ polynomial moment maps with closed-form Jacobian determinants.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,20 +85,9 @@ def logsumexp(a, axis=-1):
         return np.squeeze(mx, axis=axis) + np.log(np.exp(a - mx).sum(axis=axis))
 
 
-def _value(out):
-    return out if np.ndim(out) else float(out)
-
-
-def _stack_gradient(x, coords, parts):
-    """Per-coordinate gradients stacked as atoms.shape[:-1] + (q,) + x.shape."""
-    axis = coords[0].ndim - x.ndim
-    shape = coords[0].shape[:axis] + x.shape
-    return np.stack([np.broadcast_to(p, shape) for p in parts], axis=axis)
-
-
 def _central_difference(fun, theta):
     """Central differences of fun in each coordinate of atoms of shape
-    (..., q), stacked as theta.shape[:-1] + (q,) + the rest of fun's shape."""
+    (..., q), one array per coordinate."""
     theta = np.asarray(theta, dtype=float)
     batch = theta.ndim - 1
     columns = []
@@ -109,22 +99,33 @@ def _central_difference(fun, theta):
         dn[..., i] -= h
         diff = np.asarray(fun(up) - fun(dn))
         columns.append(diff / (2 * h.reshape(h.shape + (1,) * (diff.ndim - batch))))
-    return np.stack(columns, axis=batch)
+    return columns
+
+
+def _real(value, name, lo, hi=math.inf):
+    """value as a float, refused unless it is a real number in (lo, hi)."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if not (real and lo < value < hi):
+        raise InvalidParameter(f"{name} must be a real number in ({lo}, {hi})")
+    return float(value)
 
 
 class KernelFamily:
     """Base class: a parametric family of probability densities on a data space.
 
-    Subclasses define the parameter box, log densities, samplers, and where
-    available analytic gradients, closed-form divergences, exponential-family
-    structure and the law of a sufficient statistic. ``points`` is the
-    array of the support for discrete kernels and None for continuous ones.
+    Each public operation checks all its atoms against the box (``in_box``)
+    once, then calls the private hook of the same name with one argument per
+    atom coordinate (``_closed_divergence`` gets the two atoms); the hooks
+    hold only the family's arithmetic. Subclasses write ``_log_density``,
+    ``_sample`` and ``_mean``, and may replace the defaults of the others.
+    ``points`` is the array of the support for discrete kernels and None
+    for continuous ones.
 
     ``log_density``, ``density`` and ``grad_density`` broadcast: atoms of
     shape (..., q) against points of any shape give
     ``atoms.shape[:-1] + x.shape`` (gradients ``atoms.shape[:-1] + (q,) +
-    x.shape``), and each call validates all its atoms once. ``sample``
-    takes a single atom.
+    x.shape``), and their hooks get coordinates shaped
+    ``atoms.shape[:-1] + (1,) * x.ndim``. The other operations take one atom.
     """
 
     name = "abstract"
@@ -148,58 +149,83 @@ class KernelFamily:
             raise InvalidParameter(f"{self.name}: parameter {bad} outside box")
         return theta
 
-    def _coords(self, x, theta, check=True):
-        """Points as an array and the atom coordinates, each shaped
+    def _coords(self, x, theta):
+        """Points as an array and the checked atom coordinates, each shaped
         atoms.shape[:-1] + (1,) * x.ndim to broadcast against the points."""
-        if check:
-            theta = self.check_theta(theta)
-        else:
-            theta = np.atleast_1d(np.asarray(theta, dtype=float))
+        theta = self.check_theta(theta)
         x = np.asarray(x, dtype=float)
         shape = theta.shape[:-1] + (1,) * x.ndim
         return x, [theta[..., i].reshape(shape) for i in range(self.q)]
 
+    def _atom(self, theta):
+        """One checked atom, of shape (q,)."""
+        theta = self.check_theta(theta)
+        if theta.ndim != 1:
+            raise InvalidParameter(f"{self.name}: one atom expected, not {theta.shape}")
+        return theta
+
     def log_density(self, x, theta):
-        raise NotImplementedError
+        x, coords = self._coords(x, theta)
+        out = self._log_density(x, *coords)
+        return out if np.ndim(out) else float(out)
 
     def density(self, x, theta):
         return np.exp(self.log_density(x, theta))
 
+    def grad_density(self, x, theta):
+        """Gradient of the density in the parameter, analytic if available."""
+        x, coords = self._coords(x, theta)
+        axis = coords[0].ndim - x.ndim
+        shape = coords[0].shape[:axis] + x.shape
+        parts = self._grad_density(x, *coords)
+        return np.stack([np.broadcast_to(p, shape) for p in parts], axis=axis)
+
     def sample(self, theta, count, rng):
-        raise NotImplementedError
+        return self._sample(count, rng, *self._atom(theta))
+
+    def mean(self, theta):
+        return self._mean(*self._atom(theta))
 
     def support(self, theta):
         """(lo, hi) support interval for continuous kernels, else None."""
-        return (-np.inf, np.inf)
+        return self._support(*self._atom(theta))
 
     def breakpoints(self, theta):
         """Finite points where the density is discontinuous."""
-        return []
+        return self._breakpoints(*self._atom(theta))
+
+    def tail_bounds(self, theta, eps):
+        """Finite [lo, hi] capturing all but eps probability per tail."""
+        return self._tail_bounds(eps, *self._atom(theta))
 
     def closed_divergence(self, which, theta1, theta2):
         """Closed-form divergence value, or None when unavailable."""
-        return None
+        return self._closed_divergence(which, self._atom(theta1), self._atom(theta2))
 
     def sufficient_kernel(self, N):
         """Kernel law of a 1-D sufficient statistic of N draws, or None."""
         return None
 
-    def tail_bounds(self, theta, eps):
-        """Finite [lo, hi] capturing all but eps probability per tail."""
-        lo, hi = self.support(np.atleast_1d(np.asarray(theta, dtype=float)))
+    def _grad_density(self, x, *theta):
+        """Central differences; the moved atoms are checked like any others."""
+        theta = np.stack(theta, axis=-1)
+        theta = theta.reshape(theta.shape[: theta.ndim - 1 - x.ndim] + (self.q,))
+        return _central_difference(lambda t: self.density(x, t), theta)
+
+    def _support(self, *theta):
+        return (-np.inf, np.inf)
+
+    def _breakpoints(self, *theta):
+        return []
+
+    def _tail_bounds(self, eps, *theta):
+        lo, hi = self._support(*theta) or (-np.inf, np.inf)
         if math.isinf(lo) or math.isinf(hi):
-            raise InvalidParameter(
-                f"{self.name}: no finite tail bounds available"
-            )
+            raise InvalidParameter(f"{self.name}: no finite tail bounds available")
         return (lo, hi)
 
-    def mean(self, theta):
-        raise NotImplementedError
-
-    def grad_density(self, x, theta):
-        """Gradient of the density in the parameter, analytic if available."""
-        theta = self.check_theta(theta)
-        return _central_difference(lambda t: self.density(x, t), theta)
+    def _closed_divergence(self, which, theta1, theta2):
+        return None
 
 
 class BernoulliKernel(KernelFamily):
@@ -230,43 +256,45 @@ class BernoulliKernel(KernelFamily):
     def in_box(self, theta):
         return (0.0 < theta[..., 0]) & (theta[..., 0] < 1.0)
 
-    def log_density(self, x, theta):
-        x, (t,) = self._coords(x, theta)
+    def _log_density(self, x, t):
         n = self.trials
-        return _value(self._log_binom(x) + x * np.log(t) + (n - x) * np.log1p(-t))
+        return self._log_binom(x) + x * np.log(t) + (n - x) * np.log1p(-t)
 
-    def sample(self, theta, count, rng):
-        theta = self.check_theta(theta)
-        draws = rng.random((count, self.trials)) < theta[0]
+    def _sample(self, count, rng, t):
+        draws = rng.random((count, self.trials)) < t
         return draws.sum(axis=1).astype(float)
 
-    def support(self, theta):
+    def _support(self, t):
         return None
 
-    def mean(self, theta):
-        return self.trials * float(theta[0])
+    def _mean(self, t):
+        return self.trials * float(t)
 
     def sufficient_kernel(self, N):
         """The summed count of N draws, Binomial(N * trials, theta)."""
         return BernoulliKernel(self.trials * N)
 
-    def grad_density(self, x, theta):
+    def _grad_density(self, x, t):
         """trials * (f(x - 1) - f(x)) under one trial fewer."""
-        x, coords = self._coords(x, theta)
         fewer = BernoulliKernel(self.trials - 1)
-        diff = fewer.density(x - 1, theta) - fewer.density(x, theta)
-        return _stack_gradient(x, coords, [self.trials * diff])
+        diff = np.exp(fewer._log_density(x - 1, t)) - np.exp(fewer._log_density(x, t))
+        return [self.trials * diff]
 
-    def closed_divergence(self, which, theta1, theta2):
+    def _closed_divergence(self, which, theta1, theta2):
         if self.trials != 1:
             return None
-        t1 = float(self.check_theta(theta1)[0])
-        t2 = float(self.check_theta(theta2)[0])
+        t1 = float(theta1[0])
+        t2 = float(theta2[0])
         if which == "tv":
             return abs(t1 - t2)
         if which == "hellinger":
-            h2 = 1.0 - math.sqrt(t1 * t2) - math.sqrt((1 - t1) * (1 - t2))
-            return math.sqrt(max(h2, 0.0))
+            # (sqrt(a) - sqrt(b))^2 as (a - b)^2 / (sqrt(a) + sqrt(b))^2, which
+            # does not cancel when a and b are close.
+            d2 = (t1 - t2) ** 2
+            h2 = d2 / (math.sqrt(t1) + math.sqrt(t2)) ** 2 + d2 / (
+                math.sqrt(1 - t1) + math.sqrt(1 - t2)
+            ) ** 2
+            return math.sqrt(0.5 * h2)
         if which == "kl":
             return t1 * math.log(t1 / t2) + (1 - t1) * math.log((1 - t1) / (1 - t2))
         return None
@@ -279,9 +307,7 @@ class GaussianLocationKernel(KernelFamily):
     q = 1
 
     def __init__(self, sigma=1.0):
-        if sigma <= 0:
-            raise InvalidParameter("sigma must be positive")
-        self.sigma = float(sigma)
+        self.sigma = _real(sigma, "sigma", 0.0)
         s2 = self.sigma**2
         self.expfam = ExpFamilySpec(
             stat=lambda x: np.asarray(x, dtype=float)[..., None],
@@ -295,34 +321,30 @@ class GaussianLocationKernel(KernelFamily):
     def in_box(self, theta):
         return np.isfinite(theta[..., 0])
 
-    def log_density(self, x, theta):
-        x, (mu,) = self._coords(x, theta)
+    def _log_density(self, x, mu):
         z = (x - mu) / self.sigma
-        return _value(-0.5 * z**2 - math.log(self.sigma * math.sqrt(2 * math.pi)))
+        return -0.5 * z**2 - math.log(self.sigma * math.sqrt(2 * math.pi))
 
-    def sample(self, theta, count, rng):
-        theta = self.check_theta(theta)
-        return rng.normal(theta[0], self.sigma, size=count)
+    def _sample(self, count, rng, mu):
+        return rng.normal(mu, self.sigma, size=count)
 
-    def mean(self, theta):
-        return float(theta[0])
+    def _mean(self, mu):
+        return float(mu)
 
     def sufficient_kernel(self, N):
         """The sample mean, N(theta, sigma^2 / N)."""
         return GaussianLocationKernel(self.sigma / math.sqrt(N))
 
-    def tail_bounds(self, theta, eps):
-        theta = self.check_theta(theta)
+    def _tail_bounds(self, eps, mu):
         z = -norm_ppf(eps)
-        return (theta[0] - z * self.sigma, theta[0] + z * self.sigma)
+        return (mu - z * self.sigma, mu + z * self.sigma)
 
-    def grad_density(self, x, theta):
-        f = self.density(x, theta)
-        x, coords = self._coords(x, theta, check=False)
-        return _stack_gradient(x, coords, [f * (x - coords[0]) / self.sigma**2])
+    def _grad_density(self, x, mu):
+        f = np.exp(self._log_density(x, mu))
+        return [f * (x - mu) / self.sigma**2]
 
-    def closed_divergence(self, which, theta1, theta2):
-        d = abs(float(np.atleast_1d(theta1)[0]) - float(np.atleast_1d(theta2)[0]))
+    def _closed_divergence(self, which, theta1, theta2):
+        d = abs(float(theta1[0]) - float(theta2[0]))
         s = self.sigma
         if which == "tv":
             return float(erf(d / (2 * math.sqrt(2) * s)))
@@ -341,6 +363,8 @@ class GammaKernel(KernelFamily):
     q = 2
 
     def __init__(self, normalized=True):
+        if not isinstance(normalized, (bool, np.bool_)):
+            raise InvalidParameter("normalized must be a bool")
         self.normalized = bool(normalized)
         if self.normalized:
             self.expfam = ExpFamilySpec(
@@ -355,8 +379,7 @@ class GammaKernel(KernelFamily):
     def in_box(self, theta):
         return (theta[..., 0] > 0.0) & (theta[..., 1] > 0.0)
 
-    def log_density(self, x, theta):
-        x, (alpha, beta) = self._coords(x, theta)
+    def _log_density(self, x, alpha, beta):
         with np.errstate(divide="ignore", invalid="ignore"):
             out = np.where(
                 x > 0,
@@ -367,47 +390,40 @@ class GammaKernel(KernelFamily):
             )
         if self.normalized:
             out = out - gammaln(alpha)
-        return _value(out)
+        return out
 
-    def sample(self, theta, count, rng):
-        theta = self.check_theta(theta)
-        return rng.gamma(shape=theta[0], scale=1.0 / theta[1], size=count)
+    def _sample(self, count, rng, alpha, beta):
+        return rng.gamma(shape=alpha, scale=1.0 / beta, size=count)
 
-    def support(self, theta):
+    def _support(self, *theta):
         return (0.0, np.inf)
 
-    def breakpoints(self, theta):
+    def _breakpoints(self, *theta):
         return [0.0]
 
-    def mean(self, theta):
-        return float(theta[0] / theta[1])
+    def _mean(self, alpha, beta):
+        return float(alpha / beta)
 
-    def tail_bounds(self, theta, eps):
-        theta = self.check_theta(theta)
-        alpha, beta = theta
+    def _tail_bounds(self, eps, alpha, beta):
         return (
             float(gammaincinv(alpha, eps)) / beta,
             float(gammaincinv(alpha, 1.0 - eps)) / beta,
         )
 
-    def grad_density(self, x, theta):
-        f = self.density(x, theta)
-        x, coords = self._coords(x, theta, check=False)
-        alpha, beta = coords
+    def _grad_density(self, x, alpha, beta):
+        f = np.exp(self._log_density(x, alpha, beta))
         if np.any(x == 0):
             raise NonDifferentiablePoint("gamma density boundary at x = 0")
         dalpha = np.log(beta) + np.log(np.where(x > 0, x, 1.0))
         if self.normalized:
             dalpha = dalpha - digamma(alpha)
-        return _stack_gradient(x, coords, [f * dalpha, f * (alpha / beta - x)])
+        return [f * dalpha, f * (alpha / beta - x)]
 
-    def closed_divergence(self, which, theta1, theta2):
+    def _closed_divergence(self, which, theta1, theta2):
         if not self.normalized:
             return None
-        t1 = self.check_theta(theta1)
-        t2 = self.check_theta(theta2)
-        a1, b1 = t1
-        a2, b2 = t2
+        a1, b1 = theta1
+        a2, b2 = theta2
         if which == "kl":
             return float(
                 (a1 - a2) * digamma(a1)
@@ -417,7 +433,7 @@ class GammaKernel(KernelFamily):
                 + a1 * (b2 - b1) / b1
             )
         if which == "hellinger":
-            return hellinger_expfam(self.expfam, t1, t2)
+            return hellinger_expfam(self.expfam, theta1, theta2)
         return None
 
 
@@ -430,35 +446,29 @@ class UniformKernel(KernelFamily):
     def in_box(self, theta):
         return theta[..., 0] > 0.0
 
-    def log_density(self, x, theta):
-        x, (t,) = self._coords(x, theta)
-        return _value(np.where((x > 0) & (x < t), -np.log(t), -np.inf))
+    def _log_density(self, x, t):
+        return np.where((x > 0) & (x < t), -np.log(t), -np.inf)
 
-    def sample(self, theta, count, rng):
-        theta = self.check_theta(theta)
-        return rng.uniform(0.0, theta[0], size=count)
+    def _sample(self, count, rng, t):
+        return rng.uniform(0.0, t, size=count)
 
-    def support(self, theta):
-        return (0.0, float(np.atleast_1d(theta)[0]))
+    def _support(self, t):
+        return (0.0, float(t))
 
-    def breakpoints(self, theta):
-        return [0.0, float(np.atleast_1d(theta)[0])]
+    def _breakpoints(self, t):
+        return [0.0, float(t)]
 
-    def mean(self, theta):
-        return float(np.atleast_1d(theta)[0]) / 2.0
+    def _mean(self, t):
+        return float(t) / 2.0
 
-    def grad_density(self, x, theta):
-        x, coords = self._coords(x, theta)
-        t = coords[0]
+    def _grad_density(self, x, t):
         if np.any((np.abs(x - t) < 1e-12 * np.maximum(1.0, t)) | (x == 0.0)):
             raise NonDifferentiablePoint("uniform density boundary")
-        return _stack_gradient(
-            x, coords, [np.where((0.0 < x) & (x < t), -1.0 / t**2, 0.0)]
-        )
+        return [np.where((0.0 < x) & (x < t), -1.0 / t**2, 0.0)]
 
-    def closed_divergence(self, which, theta1, theta2):
-        a = float(np.atleast_1d(theta1)[0])
-        b = float(np.atleast_1d(theta2)[0])
+    def _closed_divergence(self, which, theta1, theta2):
+        a = float(theta1[0])
+        b = float(theta2[0])
         lo, hi = min(a, b), max(a, b)
         if which == "tv":
             return 1.0 - lo / hi
@@ -478,38 +488,30 @@ class LocScaleExponentialKernel(KernelFamily):
     def in_box(self, theta):
         return np.isfinite(theta[..., 0]) & (theta[..., 1] > 0.0)
 
-    def log_density(self, x, theta):
-        x, (xi, sigma) = self._coords(x, theta)
-        return _value(np.where(x > xi, -(x - xi) / sigma - np.log(sigma), -np.inf))
+    def _log_density(self, x, xi, sigma):
+        return np.where(x > xi, -(x - xi) / sigma - np.log(sigma), -np.inf)
 
-    def sample(self, theta, count, rng):
-        theta = self.check_theta(theta)
-        return theta[0] + rng.exponential(scale=theta[1], size=count)
+    def _sample(self, count, rng, xi, sigma):
+        return xi + rng.exponential(scale=sigma, size=count)
 
-    def support(self, theta):
-        return (float(np.atleast_1d(theta)[0]), np.inf)
+    def _support(self, xi, sigma):
+        return (float(xi), np.inf)
 
-    def breakpoints(self, theta):
-        return [float(np.atleast_1d(theta)[0])]
+    def _breakpoints(self, xi, sigma):
+        return [float(xi)]
 
-    def mean(self, theta):
-        return float(theta[0] + theta[1])
+    def _mean(self, xi, sigma):
+        return float(xi + sigma)
 
-    def tail_bounds(self, theta, eps):
-        theta = self.check_theta(theta)
-        xi, sigma = theta
+    def _tail_bounds(self, eps, xi, sigma):
         return (xi, xi - sigma * math.log(eps))
 
-    def grad_density(self, x, theta):
-        f = self.density(x, theta)
-        x, coords = self._coords(x, theta, check=False)
-        xi, sigma = coords
+    def _grad_density(self, x, xi, sigma):
+        f = np.exp(self._log_density(x, xi, sigma))
         scale = np.maximum(np.maximum(1.0, np.abs(xi)), sigma)
         if np.any(np.abs(x - xi) < 1e-12 * scale):
             raise NonDifferentiablePoint("support boundary of the shifted exponential")
-        return _stack_gradient(
-            x, coords, [f / sigma, f * ((x - xi) / sigma**2 - 1.0 / sigma)]
-        )
+        return [f / sigma, f * ((x - xi) / sigma**2 - 1.0 / sigma)]
 
 
 def _double_factorial_odd(n):
@@ -537,21 +539,21 @@ def _gaussian_raw_moment(mu, sigma, j):
 class GaussianLocationMixtureKernel(KernelFamily):
     """Composite kernel: a k-component Gaussian location mixture with fixed
     scale, parametrized by the first k-1 component probabilities and the
-    strictly increasing component means."""
+    strictly increasing component means. The moment maps take one atom that
+    ``moment_map`` has checked."""
 
     name = "gaussian_location_mixture"
 
     def __init__(self, k, sigma=1.0):
-        if k < 2:
-            raise InvalidParameter("mixture needs k >= 2 components")
-        if sigma <= 0:
-            raise InvalidParameter("sigma must be positive")
+        if not (isinstance(k, (int, np.integer)) and k >= 2):
+            raise InvalidParameter("mixture needs an integer k >= 2 components")
         self.k = int(k)
-        self.sigma = float(sigma)
+        self.sigma = _real(sigma, "sigma", 0.0)
         self.q = 2 * self.k - 1
 
     def split(self, theta):
-        theta = self.check_theta(theta)
+        """Component probabilities and means, each (..., k), of q coordinates."""
+        theta = np.stack(theta, axis=-1)
         head = theta[..., : self.k - 1]
         pis = np.concatenate([head, 1.0 - head.sum(axis=-1, keepdims=True)], axis=-1)
         return pis, theta[..., self.k - 1 :]
@@ -566,24 +568,22 @@ class GaussianLocationMixtureKernel(KernelFamily):
             & np.all(np.isfinite(mus), axis=-1)
         )
 
-    def log_density(self, x, theta):
+    def _log_density(self, x, *theta):
         pis, mus = self.split(theta)
-        x = np.asarray(x, dtype=float)
-        shape = mus.shape[:-1] + (1,) * x.ndim + (self.k,)
-        z = (x[..., None] - mus.reshape(shape)) / self.sigma
+        z = (x[..., None] - mus) / self.sigma
         comp = -0.5 * z**2 - math.log(self.sigma * math.sqrt(2 * math.pi))
-        return _value(logsumexp(comp + np.log(pis.reshape(shape)), axis=-1))
+        return logsumexp(comp + np.log(pis), axis=-1)
 
-    def sample(self, theta, count, rng):
+    def _sample(self, count, rng, *theta):
         pis, mus = self.split(theta)
         comps = rng.choice(self.k, size=count, p=pis)
         return rng.normal(mus[comps], self.sigma)
 
-    def mean(self, theta):
+    def _mean(self, *theta):
         pis, mus = self.split(theta)
         return float(pis @ mus)
 
-    def tail_bounds(self, theta, eps):
+    def _tail_bounds(self, eps, *theta):
         _, mus = self.split(theta)
         z = -norm_ppf(eps)
         return (
@@ -631,15 +631,14 @@ class GaussianLocationMixtureKernel(KernelFamily):
 
 class BetaPushforwardKernel(KernelFamily):
     """Composite kernel on (0, 1): a two-component Beta mixture in which both
-    components share a fixed mean fraction xi and differ in concentration."""
+    components share a fixed mean fraction xi and differ in concentration.
+    The moment maps take one atom that ``moment_map`` has checked."""
 
     name = "beta_pushforward"
     q = 3
 
     def __init__(self, xi):
-        if not 0.0 < xi < 1.0:
-            raise InvalidParameter("xi must lie in (0, 1)")
-        self.xi = float(xi)
+        self.xi = _real(xi, "xi", 0.0, 1.0)
 
     def in_box(self, theta):
         pi1, a1, a2 = theta[..., 0], theta[..., 1], theta[..., 2]
@@ -658,25 +657,22 @@ class BetaPushforwardKernel(KernelFamily):
             )
         return out
 
-    def log_density(self, x, theta):
-        x, (pi1, a1, a2) = self._coords(x, theta)
+    def _log_density(self, x, pi1, a1, a2):
         l1 = self._component_logpdf(x, a1) + np.log(pi1)
         l2 = self._component_logpdf(x, a2) + np.log1p(-pi1)
-        return _value(np.logaddexp(l1, l2))
+        return np.logaddexp(l1, l2)
 
-    def sample(self, theta, count, rng):
-        theta = self.check_theta(theta)
-        pi1, a1, a2 = theta
+    def _sample(self, count, rng, pi1, a1, a2):
         alphas = np.where(rng.random(count) < pi1, a1, a2)
         return rng.beta(alphas * self.xi, alphas * (1.0 - self.xi))
 
-    def support(self, theta):
+    def _support(self, *theta):
         return (0.0, 1.0)
 
-    def breakpoints(self, theta):
+    def _breakpoints(self, *theta):
         return [0.0, 1.0]
 
-    def mean(self, theta):
+    def _mean(self, *theta):
         return self.xi
 
     def _q(self, alpha, j):
@@ -686,14 +682,12 @@ class BetaPushforwardKernel(KernelFamily):
         return out
 
     def moment_lambda(self, theta):
-        theta = self.check_theta(theta)
         pi1, a1, a2 = theta
         return np.array(
             [pi1 * self._q(a1, j) + (1 - pi1) * self._q(a2, j) for j in (1, 2, 3)]
         )
 
     def moment_jacobian(self, theta):
-        theta = self.check_theta(theta)
         pi1, a1, a2 = theta
         J = np.empty((3, 3))
         for row, j in enumerate((1, 2, 3)):
@@ -707,7 +701,6 @@ class BetaPushforwardKernel(KernelFamily):
         return J
 
     def moment_det_closed(self, theta):
-        theta = self.check_theta(theta)
         pi1, a1, a2 = theta
         xi = self.xi
         num = (
@@ -865,8 +858,8 @@ def divergence_numeric(kernel, theta1, theta2, which):
     which = which.lower()
     if which not in ("tv", "hellinger", "kl"):
         raise InvalidParameter(f"unknown divergence {which!r}")
-    t1 = kernel.check_theta(theta1)
-    t2 = kernel.check_theta(theta2)
+    t1 = kernel._atom(theta1)
+    t2 = kernel._atom(theta2)
     if which == "kl" and kernel.points is None:
         s1 = kernel.support(t1)
         s2 = kernel.support(t2)
@@ -885,11 +878,11 @@ def moment_map(kernel, theta):
             )
     elif not isinstance(kernel, GaussianLocationMixtureKernel):
         raise InvalidParameter(f"{kernel.name} has no moment map")
-    theta = kernel.check_theta(theta)
+    theta = kernel._atom(theta)
     lam = kernel.moment_lambda(theta)
     J = kernel.moment_jacobian(theta)
     det_closed = kernel.moment_det_closed(theta)
-    J_fd = _central_difference(kernel.moment_lambda, theta).T
+    J_fd = np.stack(_central_difference(kernel.moment_lambda, theta), axis=-1)
     det_fd = float(np.linalg.det(J_fd))
     return MomentMapReport(lam=lam, jacobian=J, det_closed=det_closed, det_fd=det_fd)
 

@@ -8,6 +8,7 @@ from zero is consistent with an inverse bound.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -452,8 +453,10 @@ def sqrtN_sharpness_probe(
         raise InvalidParameter("psi_exponent must be a finite real")
     if psi_exponent < 1.0:
         raise InvalidParameter("psi_exponent must be at least 1")
-    if any(int(n) != n for n in N_grid):
-        raise InvalidParameter("sequence lengths must be integers")
+    if not all(
+        isinstance(n, numbers.Real) and math.isfinite(n) and int(n) == n for n in N_grid
+    ):
+        raise InvalidParameter("sequence lengths must be finite integers")
     n_values = [int(n) for n in N_grid]
     if len(n_values) < 2 or any(n < 1 for n in n_values):
         raise InvalidParameter("the N grid needs at least two lengths >= 1")

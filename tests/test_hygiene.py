@@ -95,3 +95,32 @@ def test_readme_names_every_config_field():
     names = schema_field_names(SCHEMA)
     assert len(names) > 40
     assert sorted(name for name in names if f"`{name}`" not in readme) == []
+
+
+def kernel_family_methods(path):
+    """(class name, method node) for every method of each direct
+    KernelFamily subclass in path."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    for cls in tree.body:
+        if isinstance(cls, ast.ClassDef) and any(
+            isinstance(base, ast.Name) and base.id == "KernelFamily"
+            for base in cls.bases
+        ):
+            for method in cls.body:
+                if isinstance(method, ast.FunctionDef):
+                    yield cls.name, method
+
+
+def test_kernel_families_leave_atom_checks_to_the_base_class():
+    path = pathlib.Path(mixlab.__file__).parent / "kernels.py"
+    methods = list(kernel_family_methods(path))
+    assert len({name for name, _ in methods}) == 7
+    calls = sorted(
+        f"{name}.{method.name}"
+        for name, method in methods
+        for node in ast.walk(method)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in ("check_theta", "_coords", "_atom")
+    )
+    assert calls == []

@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -346,6 +347,22 @@ class TestClosedForms:
         assert ker.closed_divergence("kl", [2.0], [1.0]) == np.inf
         assert divergence_numeric(ker, [2.0], [1.0], "kl") == np.inf
 
+    @pytest.mark.parametrize("gap", [1e-5, 1e-7])
+    def test_bernoulli_hellinger_without_cancellation(self, gap):
+        t1, t2 = 0.3, 0.3 + gap
+        with localcontext() as ctx:
+            ctx.prec = 60
+            a, b = Decimal(t1), Decimal(t2)
+            one = Decimal(1)
+            h2 = one - (a * b).sqrt() - ((one - a) * (one - b)).sqrt()
+            reference = float(h2.sqrt())
+        closed = BernoulliKernel().closed_divergence("hellinger", [t1], [t2])
+        assert abs(closed - reference) <= 1e-14 * reference
+
+    def test_numeric_divergence_takes_single_atoms(self):
+        with pytest.raises(InvalidParameter):
+            divergence_numeric(GaussianLocationKernel(), [[0.3]], [[0.5]], "tv")
+
     def test_unknown_divergence_name(self):
         with pytest.raises(InvalidParameter):
             divergence_numeric(BernoulliKernel(), [0.3], [0.4], "chi2")
@@ -518,3 +535,30 @@ class TestKernelFromSpec:
             kernel_from_spec({"family": "bernoulli", "params_fixed": {"trials": 3}})
         with pytest.raises(InvalidParameter):
             kernel_from_spec({"family": "gaussian_location", "params_fixed": {"sigmaa": 2.0}})
+
+    @pytest.mark.parametrize(
+        "family,params",
+        [
+            ("gaussian_location_mixture", {"k": 2.5}),
+            ("gaussian_location_mixture", {"k": 2, "sigma": math.nan}),
+            ("gaussian_location_mixture", {"k": 3, "sigma": math.inf}),
+            ("gaussian_location_mixture", {"k": 3, "sigma": "2"}),
+            ("gamma", {"normalized": "no"}),
+            ("gaussian_location", {"sigma": math.nan}),
+            ("gaussian_location", {"sigma": math.inf}),
+            ("gaussian_location", {"sigma": "2"}),
+            ("beta_pushforward", {"xi": math.nan}),
+            ("beta_pushforward", {"xi": math.inf}),
+        ],
+    )
+    def test_constructors_refuse_what_they_would_coerce(self, family, params):
+        constructor = {
+            "gaussian_location": GaussianLocationKernel,
+            "gamma": GammaKernel,
+            "gaussian_location_mixture": GaussianLocationMixtureKernel,
+            "beta_pushforward": BetaPushforwardKernel,
+        }[family]
+        with pytest.raises(InvalidParameter):
+            constructor(**params)
+        with pytest.raises(InvalidParameter):
+            kernel_from_spec({"family": family, "params_fixed": params})

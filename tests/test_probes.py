@@ -402,6 +402,9 @@ class TestSqrtNSharpnessProbe:
             sqrtN_sharpness_probe(GAUSS, GAUSS_G0, 2.0, N_grid=(16, 4))
         with pytest.raises(InvalidParameter):
             sqrtN_sharpness_probe(GAUSS, GAUSS_G0, 2.0, N_grid=(4, 8.5))
+        for n in (math.inf, math.nan, "x"):
+            with pytest.raises(InvalidParameter):
+                sqrtN_sharpness_probe(GAUSS, GAUSS_G0, 2.0, N_grid=(1, n))
         with pytest.raises(InvalidParameter):
             sqrtN_sharpness_probe(GAUSS, GAUSS_G0, 2.0, eps_grid=(0.0,))
         with pytest.raises(InvalidParameter):

@@ -180,6 +180,13 @@ class TestUpperBounds:
         v1 = abs(0.5 - 0.6)
         assert tv_upper_bound(G, G2, BERN, 1) == pytest.approx(v1, abs=1e-12)
 
+    def test_atoms_outside_kernel_box_rejected(self):
+        G = MixingMeasure(np.array([[-1.0], [2.0]]), [0.5, 0.5])
+        G2 = MixingMeasure(np.array([[1.0], [3.0]]), [0.5, 0.5])
+        for bound in (tv_upper_bound, hellinger_upper_bound):
+            with pytest.raises(InvalidParameter):
+                bound(G, G2, UniformKernel(), 1)
+
     def test_mismatched_k(self):
         G = bern_measure([0.3, 0.7], [0.5, 0.5])
         G2 = bern_measure([0.5], [1.0])
