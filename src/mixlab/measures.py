@@ -22,27 +22,48 @@ PERMUTATION_MAX = 7
 
 
 def _min_gap(atoms):
-    """Smallest pairwise Euclidean gap between the rows of a (k, q) array;
-    inf for a single row."""
-    diff = atoms[:, None, :] - atoms[None, :, :]
-    dists = np.sqrt((diff**2).sum(axis=2))
-    np.fill_diagonal(dists, np.inf)
-    return float(dists.min())
+    """Smallest pairwise Euclidean gap between the rows of (..., k, q)
+    atoms, one per leading index; inf for a single row."""
+    diff = atoms[..., :, None, :] - atoms[..., None, :, :]
+    dists = np.sqrt((diff**2).sum(axis=-1))
+    diagonal = np.arange(atoms.shape[-2])
+    dists[..., diagonal, diagonal] = np.inf
+    return dists.min(axis=(-2, -1))
+
+
+def _invariants(atoms, weights):
+    """The invariants of a measure, checked in order over (..., k, q) atoms
+    and (..., k) weights: each as (holds, message), with holds a boolean
+    over the leading axes. A message may name the weight sum as
+    ``{total!r}``."""
+    yield np.isfinite(atoms).all(axis=(-2, -1)), "atom coordinates must be finite"
+    yield (weights > 0).all(axis=-1), "weights must be strictly positive"
+    yield (
+        np.abs(weights.sum(axis=-1) - 1.0) <= WEIGHT_TOL,
+        f"weights must sum to 1 within {WEIGHT_TOL}; got {{total!r}}",
+    )
+    yield _min_gap(atoms) > 0.0, "atoms must be pairwise distinct"
 
 
 def measure_fault(atoms, weights):
     """The first violated invariant of (k, q) atoms and (k,) weights as a
     message, or None for a valid measure: finite atoms, positive weights
     summing to 1 within WEIGHT_TOL, pairwise distinct atoms."""
-    if not np.all(np.isfinite(atoms)):
-        return "atom coordinates must be finite"
-    if not np.all(weights > 0):
-        return "weights must be strictly positive"
-    if abs(weights.sum() - 1.0) > WEIGHT_TOL:
-        return f"weights must sum to 1 within {WEIGHT_TOL}; got {weights.sum()!r}"
-    if _min_gap(atoms) <= 0.0:
-        return "atoms must be pairwise distinct"
+    for holds, message in _invariants(atoms, weights):
+        if not holds:
+            return message.format(total=weights.sum())
     return None
+
+
+def valid_measures(atoms, weights):
+    """Which measures of a stack, (..., k, q) atoms with (..., k) weights,
+    hold every invariant of ``measure_fault``: a boolean over the leading
+    axes."""
+    valid = np.ones(atoms.shape[:-2], dtype=bool)
+    with np.errstate(invalid="ignore"):
+        for holds, _ in _invariants(atoms, weights):
+            valid &= holds
+    return valid
 
 
 @lru_cache(maxsize=None)
@@ -91,6 +112,31 @@ class MixingMeasure:
         object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "weights", weights)
 
+    @classmethod
+    def stack(cls, atoms, weights):
+        """A tuple of measures from (n, k, q) atoms and (n, k) weights, all
+        checked in one pass; each measure holds read-only views of one copy
+        of the stack."""
+        atoms = np.array(atoms, dtype=float)
+        weights = np.array(weights, dtype=float)
+        if atoms.ndim != 3 or atoms.shape[1] < 1 or weights.shape != atoms.shape[:2]:
+            raise InvalidMeasure(
+                "a stack needs (n, k, q) atoms with k >= 1 and (n, k) weights"
+            )
+        valid = valid_measures(atoms, weights)
+        if not valid.all():
+            bad = int(np.argmin(valid))
+            raise InvalidMeasure(measure_fault(atoms[bad], weights[bad]))
+        atoms.flags.writeable = False
+        weights.flags.writeable = False
+        measures = []
+        for a, w in zip(atoms, weights):
+            G = object.__new__(cls)
+            object.__setattr__(G, "atoms", a)
+            object.__setattr__(G, "weights", w)
+            measures.append(G)
+        return tuple(measures)
+
     @property
     def k(self):
         return self.atoms.shape[0]
@@ -102,7 +148,7 @@ class MixingMeasure:
     @property
     def rho(self):
         """Minimum pairwise atom gap (inf for a single atom)."""
-        return _min_gap(self.atoms)
+        return float(_min_gap(self.atoms))
 
     def to_json(self):
         return json.dumps(

@@ -124,3 +124,50 @@ def test_kernel_families_leave_atom_checks_to_the_base_class():
         and node.func.attr in ("check_theta", "_coords", "_atom")
     )
     assert calls == []
+
+
+def normal_drawing_functions(tree):
+    """Names of the functions of a module tree whose bodies call
+    ``.normal(`` or ``.standard_normal(`` on some object."""
+    return sorted(
+        node.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and any(
+            isinstance(inner, ast.Call)
+            and isinstance(inner.func, ast.Attribute)
+            and inner.func.attr in ("normal", "standard_normal")
+            for inner in ast.walk(node)
+        )
+    )
+
+
+def sum_comparisons(tree):
+    """Source of each comparison in a module tree with a ``.sum(`` call in
+    it."""
+    return [
+        ast.unparse(node)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Compare)
+        and any(
+            isinstance(inner, ast.Call)
+            and isinstance(inner.func, ast.Attribute)
+            and inner.func.attr == "sum"
+            for inner in ast.walk(node)
+        )
+    ]
+
+
+def test_one_sampler_core_and_one_definition_of_measure_invariants():
+    path = pathlib.Path(mixlab.__file__).parent / "posterior.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert normal_drawing_functions(tree) == ["mcmc_run"]
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    names |= {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert "WEIGHT_TOL" not in names
+    assert sum_comparisons(tree) == []

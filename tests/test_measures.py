@@ -8,7 +8,9 @@ from mixlab.measures import (
     canonicalize,
     distance_DN,
     distance_Dr1r2,
+    measure_fault,
     optimal_matching,
+    valid_measures,
     wasserstein,
 )
 
@@ -51,6 +53,37 @@ class TestMixingMeasure:
             MixingMeasure([[0.2, 0.3], [0.5]], [0.5, 0.5])
         with pytest.raises(InvalidMeasure):
             MixingMeasure(["a", "b"], [0.5, 0.5])
+
+    def test_stack_checks_every_measure_like_one_at_a_time(self):
+        atoms = np.array([
+            [[0.2, 1.0], [0.8, 1.0]],
+            [[0.2, 1.0], [np.inf, 1.0]],
+            [[0.2, 1.0], [0.8, 1.0]],
+            [[0.2, 1.0], [0.8, 1.0]],
+            [[0.5, 1.0], [0.5, 1.0]],
+            [[0.1, 0.0], [0.1, 0.5]],
+        ])
+        weights = np.array([
+            [0.5, 0.5], [0.5, 0.5], [0.0, 1.0], [0.5, 0.6], [0.5, 0.5], [0.3, 0.7],
+        ])
+        valid = valid_measures(atoms, weights)
+        assert valid.tolist() == [True, False, False, False, False, True]
+        assert valid.tolist() == [
+            measure_fault(a, w) is None for a, w in zip(atoms, weights)
+        ]
+        with pytest.raises(InvalidMeasure, match="finite"):
+            MixingMeasure.stack(atoms, weights)
+        with pytest.raises(InvalidMeasure, match="sum to 1"):
+            MixingMeasure.stack(atoms[[0, 3]], weights[[0, 3]])
+        with pytest.raises(InvalidMeasure, match="stack needs"):
+            MixingMeasure.stack(atoms[0], weights[0])
+        stacked = MixingMeasure.stack(atoms[valid], weights[valid])
+        for G, a, w in zip(stacked, atoms[valid], weights[valid]):
+            single = MixingMeasure(a, w)
+            assert np.array_equal(G.atoms, single.atoms)
+            assert np.array_equal(G.weights, single.weights)
+            assert not (G.atoms.flags.writeable or G.weights.flags.writeable)
+            assert G.rho == single.rho
 
     def test_single_atom_rho_inf(self):
         G = MixingMeasure(np.array([[1.0, 2.0]]), np.array([1.0]))

@@ -16,18 +16,26 @@ from mixlab.kernels import (
     GaussianLocationKernel,
     GaussianLocationMixtureKernel,
     UniformKernel,
+    logsumexp,
 )
 from mixlab.measures import (
     MixingMeasure,
     atom_and_weight_distances,
+    canonical_order,
     canonicalize,
     distance_DN,
+    measure_fault,
 )
 from mixlab.posterior import (
+    PROPOSAL_BLOCK,
+    SCALE_CEILING,
+    SCALE_FLOOR,
     Chain,
     ContractionReport,
     MCMCConfig,
     PriorSpec,
+    _likelihood_evaluator,
+    _reflect_into_box,
     _resolve_length_law,
     contraction_experiment,
     log_posterior_unnorm,
@@ -40,6 +48,95 @@ from mixlab.products import ExchangeableDataset, sample_dataset
 BERN = BernoulliKernel()
 GAUSS = GaussianLocationKernel(1.0)
 UNIT_PRIOR = PriorSpec(BERN, np.array([[0.01, 0.99]]))
+
+
+def _reference_chain(dataset, kernel, prior, k0, config, seed):
+    """The sampler with one proposal per step: draw the step's noise,
+    build, check and score its proposal, then accept or reject it."""
+    rng = np.random.default_rng(seed)
+    loglik = _likelihood_evaluator(kernel, dataset, prior)
+    lo, hi = prior.box[:, 0], prior.box[:, 1]
+    widths = prior.widths
+
+    def alr_to_weights(u):
+        z = np.concatenate([u, [0.0]])
+        logw = z - logsumexp(z)
+        return np.exp(logw), logw
+
+    start = prior_sample(prior, k0, rng)
+    atoms = start.atoms.copy()
+    u = np.log(start.weights[:-1] / start.weights[-1])
+    weights, logw = alr_to_weights(u)
+    current = loglik(atoms[None], logw[None])[0] + logw.sum()
+
+    scale = config.initial_scale
+    trace = [(0, scale)]
+    burn = config.burn_steps
+    accepted = 0
+    window_accepted = 0
+    consecutive_rejects = 0
+    kept_atoms = np.empty((config.steps - burn, k0, prior.q))
+    kept_weights = np.empty((config.steps - burn, k0))
+
+    for step in range(config.steps):
+        noise_atoms = rng.normal(size=atoms.shape)
+        noise_u = rng.normal(size=u.shape)
+        log_uniform = math.log(rng.random())
+
+        prop_atoms = _reflect_into_box(
+            atoms + scale * widths * noise_atoms, lo, hi
+        )
+        prop_u = u + 2.0 * scale * noise_u
+        prop_weights, prop_logw = alr_to_weights(prop_u)
+        accept = False
+        if measure_fault(prop_atoms, prop_weights) is None:
+            proposal = loglik(prop_atoms[None], prop_logw[None])[0] + prop_logw.sum()
+            accept = current == -math.inf or log_uniform < proposal - current
+
+        if accept:
+            atoms = prop_atoms
+            u = prop_u
+            weights = prop_weights
+            current = proposal
+            accepted += 1
+            window_accepted += 1
+            consecutive_rejects = 0
+        else:
+            consecutive_rejects += 1
+            if consecutive_rejects >= config.rejection_window:
+                raise AllProposalsRejected(
+                    f"{config.rejection_window} consecutive rejections at "
+                    f"step {step}; the proposal scale {scale:.3g} is likely "
+                    "far off"
+                )
+
+        if step < burn and (step + 1) % config.adapt_interval == 0:
+            rate = window_accepted / config.adapt_interval
+            scale = float(
+                np.clip(
+                    scale * math.exp(rate - config.target_acceptance),
+                    SCALE_FLOOR,
+                    SCALE_CEILING,
+                )
+            )
+            window_accepted = 0
+            trace.append((step + 1, scale))
+
+        if step >= burn:
+            kept_atoms[step - burn] = atoms
+            kept_weights[step - burn] = weights
+
+    order = canonical_order(kept_atoms)
+    kept_atoms = np.take_along_axis(kept_atoms, order[:, :, None], axis=1)
+    kept_weights = np.take_along_axis(kept_weights, order, axis=1)
+    return Chain(
+        draws=tuple(
+            MixingMeasure(a, w) for a, w in zip(kept_atoms, kept_weights)
+        ),
+        acceptance_rate=accepted / config.steps,
+        scale_trace=tuple(trace),
+        seed=seed,
+    )
 
 
 def batch_stderr(values, batches=20, statistic=np.mean):
@@ -209,6 +306,30 @@ class TestLogPosterior:
         with pytest.raises(InvalidParameter, match=f"value {bad} outside"):
             mcmc_run(data, kernel, prior, 1, MCMCConfig(steps=50), 3)
 
+    @pytest.mark.parametrize(
+        "kernel, box",
+        [
+            (GAUSS, [[-3.0, 3.0]]),
+            (GammaKernel(), [[0.5, 5.0], [0.5, 5.0]]),
+            (UniformKernel(), [[4.0, 9.0]]),
+        ],
+        ids=["gaussian", "gamma", "uniform"],
+    )
+    def test_stacked_likelihood_equals_one_measure_at_a_time(self, kernel, box):
+        # The sampler scores a block of proposals in one call; each entry
+        # must be the value of its measure alone, to the bit.
+        prior = PriorSpec(kernel, np.array(box))
+        rng = np.random.default_rng(12)
+        seqs = [rng.uniform(0.1, 3.9, size=n) for n in rng.integers(2, 9, size=300)]
+        loglik = _likelihood_evaluator(kernel, ExchangeableDataset(seqs), prior)
+        measures = [prior_sample(prior, 3, rng) for _ in range(PROPOSAL_BLOCK + 3)]
+        atoms = np.stack([G.atoms for G in measures])
+        log_weights = np.log(np.stack([G.weights for G in measures]))
+        stacked = loglik(atoms, log_weights)
+        alone = [loglik(a[None], w[None])[0] for a, w in zip(atoms, log_weights)]
+        assert stacked.shape == (len(measures),)
+        assert stacked.tolist() == alone
+
     def test_support_check_reads_one_corner_at_a_time(self, monkeypatch):
         # A q = 5 box has 32 corners; the check never builds a
         # corners x samples array, so its memory stays O(sum n_j).
@@ -367,16 +488,116 @@ class TestMCMCRun:
         assert 0.0 < chain.acceptance_rate < 1.0
 
     def test_all_proposals_rejected_diagnostic(self):
+        # The rejection runs cross block boundaries, and no window is a
+        # multiple of the block size, so each run ends inside a block; the
+        # error names the same step as one proposal per step does.
         seqs = [
             np.concatenate([np.ones(25), np.zeros(25)]) for _ in range(200)
         ]
         data = ExchangeableDataset(seqs)
-        config = MCMCConfig(
-            steps=3000, burn_fraction=0.0, initial_scale=60.0,
-            rejection_window=150,
+        for scale, window, burn_fraction in (
+            (60.0, 150, 0.0), (60.0, 13, 0.5), (3.0, 10, 0.25)
+        ):
+            config = MCMCConfig(
+                steps=3000, burn_fraction=burn_fraction, initial_scale=scale,
+                rejection_window=window,
+            )
+            assert window % PROPOSAL_BLOCK
+            with pytest.raises(AllProposalsRejected) as expected:
+                _reference_chain(data, BERN, UNIT_PRIOR, 1, config, 12345)
+            with pytest.raises(AllProposalsRejected) as raised:
+                mcmc_run(data, BERN, UNIT_PRIOR, 1, config, 12345)
+            assert str(raised.value) == str(expected.value)
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "bernoulli_k2",
+            "gaussian_k3_variable_lengths",
+            "uniform_start_outside_support",
+            "gamma_q2",
+            "gamma_unnormalized_q2",
+            "no_burn_in",
+            "adapt_every_step",
+            "steps_off_block_and_interval",
+        ],
+    )
+    def test_matches_reference_sampler(self, case):
+        kernel, box, k0, seed = BERN, [[0.01, 0.99]], 2, 3
+        config = MCMCConfig(steps=700)
+        rng = np.random.default_rng(41)
+        G0 = MixingMeasure(np.array([[0.25], [0.75]]), [0.4, 0.6])
+        lengths = [3] * 40
+        if case == "gaussian_k3_variable_lengths":
+            kernel, box, k0, seed = GAUSS, [[-4.0, 4.0]], 3, 5
+            config = MCMCConfig(steps=700, initial_scale=0.05)
+            G0 = MixingMeasure(np.array([[-2.0], [0.0], [2.0]]), [0.3, 0.3, 0.4])
+            lengths = rng.integers(2, 9, size=40)
+        elif case == "uniform_start_outside_support":
+            kernel, box, k0, seed = UniformKernel(), [[1.0, 5.0]], 1, 5
+        elif case in ("gamma_q2", "gamma_unnormalized_q2"):
+            kernel = GammaKernel(normalized=case == "gamma_q2")
+            box, seed = [[1.0, 6.0], [0.5, 3.0]], 9
+            config = MCMCConfig(steps=700, initial_scale=0.05)
+            G0 = MixingMeasure(np.array([[2.0, 1.0], [4.0, 2.0]]), [0.5, 0.5])
+            lengths = [4] * 30
+        elif case == "no_burn_in":
+            config = MCMCConfig(steps=500, burn_fraction=0.0)
+        elif case == "adapt_every_step":
+            config = MCMCConfig(steps=400, adapt_interval=1)
+        elif case == "steps_off_block_and_interval":
+            config = MCMCConfig(steps=613, adapt_interval=37)
+            assert config.steps % PROPOSAL_BLOCK and config.steps % 37
+            assert config.burn_steps % PROPOSAL_BLOCK and config.burn_steps % 37
+        prior = PriorSpec(kernel, np.array(box))
+        if case == "uniform_start_outside_support":
+            data = ExchangeableDataset([np.array([1.0, 4.5]), np.array([2.0, 3.0])])
+            start = prior_sample(prior, 1, np.random.default_rng(seed))
+            assert start.atoms[0, 0] < 4.5
+        else:
+            data = sample_dataset(G0, kernel, lengths, rng)
+        chain = mcmc_run(data, kernel, prior, k0, config, seed)
+        reference = _reference_chain(data, kernel, prior, k0, config, seed)
+        assert np.array_equal(
+            np.stack([G.atoms for G in chain.draws]),
+            np.stack([G.atoms for G in reference.draws]),
         )
-        with pytest.raises(AllProposalsRejected):
-            mcmc_run(data, BERN, UNIT_PRIOR, 1, config, 12345)
+        assert np.array_equal(
+            np.stack([G.weights for G in chain.draws]),
+            np.stack([G.weights for G in reference.draws]),
+        )
+        assert type(chain.acceptance_rate) is type(reference.acceptance_rate)
+        assert chain.acceptance_rate == reference.acceptance_rate
+        assert chain.scale_trace == reference.scale_trace
+        assert 0.05 < chain.acceptance_rate < 0.95
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("steps", 100.0),
+            ("steps", True),
+            ("adapt_interval", 2.5),
+            ("adapt_interval", "50"),
+            ("adapt_interval", True),
+            ("rejection_window", 7.5),
+            ("burn_fraction", "0.5"),
+            ("burn_fraction", math.nan),
+            ("initial_scale", None),
+            ("initial_scale", math.inf),
+            ("initial_scale", True),
+            ("target_acceptance", "x"),
+        ],
+    )
+    def test_config_field_types(self, field, value):
+        with pytest.raises(InvalidParameter, match=field):
+            MCMCConfig(**{field: value})
+
+    def test_config_accepts_numpy_and_integer_values(self):
+        config = MCMCConfig(
+            steps=np.int64(100), burn_fraction=0, initial_scale=np.float64(0.5),
+            adapt_interval=np.int32(10),
+        )
+        assert config.burn_steps == 0
 
     def test_input_validation(self):
         with pytest.raises(InvalidParameter):
