@@ -112,31 +112,6 @@ class MixingMeasure:
         object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "weights", weights)
 
-    @classmethod
-    def stack(cls, atoms, weights):
-        """A tuple of measures from (n, k, q) atoms and (n, k) weights, all
-        checked in one pass; each measure holds read-only views of one copy
-        of the stack."""
-        atoms = np.array(atoms, dtype=float)
-        weights = np.array(weights, dtype=float)
-        if atoms.ndim != 3 or atoms.shape[1] < 1 or weights.shape != atoms.shape[:2]:
-            raise InvalidMeasure(
-                "a stack needs (n, k, q) atoms with k >= 1 and (n, k) weights"
-            )
-        valid = valid_measures(atoms, weights)
-        if not valid.all():
-            bad = int(np.argmin(valid))
-            raise InvalidMeasure(measure_fault(atoms[bad], weights[bad]))
-        atoms.flags.writeable = False
-        weights.flags.writeable = False
-        measures = []
-        for a, w in zip(atoms, weights):
-            G = object.__new__(cls)
-            object.__setattr__(G, "atoms", a)
-            object.__setattr__(G, "weights", w)
-            measures.append(G)
-        return tuple(measures)
-
     @property
     def k(self):
         return self.atoms.shape[0]

@@ -47,9 +47,15 @@ QUANTILE_LEVELS = (0.5, 0.9, 0.95)
 QUANTILE_KEYS = ("q50", "q90", "q95")
 SLOPE_Z = 1.96
 LOG_FLOOR = 1e-300
-# Proposals scored per vectorized pass of the sampler. The chain does not
-# depend on it; 8 ran Bernoulli chains fastest among 4, 8, 16 and 32.
+# The sampler scores at most PROPOSAL_BLOCK proposals in one vectorized
+# pass; the chain does not depend on how many. The proposals after a
+# block's first acceptance are scored for nothing, so _block_length weighs
+# them against a fixed cost per block of BLOCK_OVERHEAD_CELLS likelihood
+# cells (one atom of one measure against one data row): building, checking
+# and scanning a block takes about 100 us of numpy calls, and a cell
+# 30-50 ns.
 PROPOSAL_BLOCK = 8
+BLOCK_OVERHEAD_CELLS = 2000
 
 
 @dataclass(frozen=True)
@@ -191,6 +197,7 @@ def _likelihood_evaluator(kernel, dataset, prior):
     """Callable (atoms, log_weights) -> total log likelihood of the dataset,
     for a stack of B measures: (B, k, q) atoms and (B, k) log weights give
     a (B,) array whose entries do not depend on B or on the other measures.
+    Returned with the number of data rows a measure's likelihood reads.
 
     Kernels with an ``expfam`` see a sequence only through its length n_j
     and summed statistic S_j = sum_t T(x_jt). The unique (n_j, S_j) rows
@@ -205,7 +212,7 @@ def _likelihood_evaluator(kernel, dataset, prior):
     density for every theta in the box.
     """
     if dataset is None:
-        return lambda atoms, log_weights: np.zeros(len(atoms))
+        return (lambda atoms, log_weights: np.zeros(len(atoms))), 0
     concat = np.concatenate(dataset.sequences)
     lengths = np.array(dataset.lengths)
     starts = np.concatenate([[0], np.cumsum(lengths)[:-1]])
@@ -232,7 +239,7 @@ def _likelihood_evaluator(kernel, dataset, prior):
             per_seq = np.add.reduceat(kernel.log_density(concat, atoms), starts, axis=2)
             return logsumexp(log_weights[:, :, None] + per_seq, axis=1).sum(axis=1)
 
-        return loglik
+        return loglik, len(concat)
 
     sums = np.add.reduceat(spec.stat(concat), starts, axis=0)
     rows, counts = np.unique(
@@ -251,7 +258,7 @@ def _likelihood_evaluator(kernel, dataset, prior):
         )
         return np.array([counts @ row for row in logsumexp(mat, axis=2)]) + constant
 
-    return loglik
+    return loglik, len(rows)
 
 
 def log_posterior_unnorm(G, dataset, kernel, prior):
@@ -260,7 +267,7 @@ def log_posterior_unnorm(G, dataset, kernel, prior):
     log_prior = prior.log_density(G)
     if log_prior == float("-inf"):
         return float("-inf")
-    loglik = _likelihood_evaluator(kernel, dataset, prior)
+    loglik, _ = _likelihood_evaluator(kernel, dataset, prior)
     log_weights = np.log(G.weights)
     return float(loglik(G.atoms[None], log_weights[None])[0]) + log_prior
 
@@ -279,6 +286,17 @@ def _alr_to_weights(u):
     return np.exp(logw), logw
 
 
+def _block_length(rate, cells):
+    """The number of proposals, 1 to PROPOSAL_BLOCK, to score in one pass
+    at the least expected cost per step, when each step accepts with
+    probability ``rate`` and a measure's likelihood reads ``cells`` cells.
+    A block ends at its first acceptance, so a block of B takes
+    1 + (1 - rate) + ... + (1 - rate)^(B - 1) steps on average."""
+    lengths = np.arange(1, PROPOSAL_BLOCK + 1)
+    steps = np.cumsum((1.0 - rate) ** (lengths - 1))
+    return int(np.argmin((BLOCK_OVERHEAD_CELLS + cells * lengths) / steps)) + 1
+
+
 def mcmc_run(dataset, kernel, prior, k0, config, rng):
     """Adaptive random-walk Metropolis chain on (atoms, weights).
 
@@ -293,11 +311,14 @@ def mcmc_run(dataset, kernel, prior, k0, config, rng):
     order normal(k, q), normal(k - 1), random(); this holds O(steps * k * q)
     floats. The noise does not depend on the state, and every proposal
     made while the chain keeps rejecting starts from the same state, so
-    the next PROPOSAL_BLOCK proposals (never past an adaptation during
-    burn-in) are built, checked and scored as one stack. The first one
-    accepted ends the block, and the steps before it are rejections. The
+    the next B proposals (never past an adaptation during burn-in) are
+    built, checked and scored as one stack. The first one accepted ends
+    the block, and the steps before it are rejections. The proposals after
+    it are wasted, so B is set by ``_block_length`` from the acceptance
+    rate and the likelihood's size: at the target acceptance at first,
+    then at the chain's acceptance so far at each adaptation. The
     generator stream, the draws, the acceptance rate and the scale trace
-    are those of a chain that makes one proposal per step.
+    are those of a chain that makes one proposal per step, whatever B is.
     """
     if dataset is not None and not isinstance(dataset, ExchangeableDataset):
         raise InvalidParameter("dataset must be an ExchangeableDataset or None")
@@ -314,7 +335,7 @@ def mcmc_run(dataset, kernel, prior, k0, config, rng):
         seed = int(rng)
         rng = np.random.default_rng(seed)
 
-    loglik = _likelihood_evaluator(kernel, dataset, prior)
+    loglik, rows = _likelihood_evaluator(kernel, dataset, prior)
     k0 = int(k0)
     lo, hi = prior.box[:, 0], prior.box[:, 1]
     widths = prior.widths
@@ -343,10 +364,11 @@ def mcmc_run(dataset, kernel, prior, k0, config, rng):
     consecutive_rejects = 0
     kept_atoms = np.empty((steps - burn, k0, prior.q))
     kept_weights = np.empty((steps - burn, k0))
+    block = _block_length(config.target_acceptance, rows * k0)
 
     step = 0
     while step < steps:
-        end = min(step + PROPOSAL_BLOCK, steps)
+        end = min(step + block, steps)
         if step < burn:
             end = min(end, (step // interval + 1) * interval)
         prop_atoms = _reflect_into_box(
@@ -400,12 +422,15 @@ def mcmc_run(dataset, kernel, prior, k0, config, rng):
             )
             window_accepted = 0
             trace.append((step, scale))
+            block = _block_length(accepted / step, rows * k0)
 
     order = canonical_order(kept_atoms)
     kept_atoms = np.take_along_axis(kept_atoms, order[:, :, None], axis=1)
     kept_weights = np.take_along_axis(kept_weights, order, axis=1)
     return Chain(
-        draws=MixingMeasure.stack(kept_atoms, kept_weights),
+        draws=tuple(
+            MixingMeasure(a, w) for a, w in zip(kept_atoms, kept_weights)
+        ),
         acceptance_rate=accepted / config.steps,
         scale_trace=tuple(trace),
         seed=seed,

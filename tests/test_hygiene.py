@@ -142,20 +142,29 @@ def normal_drawing_functions(tree):
     )
 
 
-def sum_comparisons(tree):
-    """Source of each comparison in a module tree with a ``.sum(`` call in
-    it."""
-    return [
-        ast.unparse(node)
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Compare)
-        and any(
-            isinstance(inner, ast.Call)
-            and isinstance(inner.func, ast.Attribute)
-            and inner.func.attr == "sum"
-            for inner in ast.walk(node)
+def sums_compared_with_one(tree):
+    """Source of each comparison in a module tree with a ``.sum(`` call and
+    the constant 1 in it, as a check that weights sum to 1 has."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Compare):
+            continue
+        inner = list(ast.walk(node))
+        sums = any(
+            isinstance(n, ast.Call)
+            and isinstance(n.func, ast.Attribute)
+            and n.func.attr == "sum"
+            for n in inner
         )
-    ]
+        one = any(
+            isinstance(n, ast.Constant)
+            and type(n.value) in (int, float)
+            and n.value == 1
+            for n in inner
+        )
+        if sums and one:
+            found.append(ast.unparse(node))
+    return found
 
 
 def test_one_sampler_core_and_one_definition_of_measure_invariants():
@@ -170,4 +179,4 @@ def test_one_sampler_core_and_one_definition_of_measure_invariants():
         for alias in node.names
     }
     assert "WEIGHT_TOL" not in names
-    assert sum_comparisons(tree) == []
+    assert sums_compared_with_one(tree) == []

