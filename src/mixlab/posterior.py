@@ -10,7 +10,6 @@ fits log-log error slopes across dataset sizes.
 
 import itertools
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +24,7 @@ from .kernels import logsumexp
 from .measures import (
     PERMUTATION_MAX,
     MixingMeasure,
+    _check_real,
     canonical_order,
     distance_DN,
     optimal_matching,
@@ -113,6 +113,14 @@ class PriorSpec:
         return atom_part + simplex_part
 
 
+def _check_integer(name, value):
+    """value as an int, after refusing anything but a Python or NumPy
+    integer; bools are refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise InvalidParameter(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class MCMCConfig:
     """Chain length and adaptation knobs for the random-walk sampler."""
@@ -126,14 +134,9 @@ class MCMCConfig:
 
     def __post_init__(self):
         for name in ("steps", "adapt_interval", "rejection_window"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise InvalidParameter(f"{name} must be an integer, got {value!r}")
+            _check_integer(name, getattr(self, name))
         for name in ("burn_fraction", "initial_scale", "target_acceptance"):
-            value = getattr(self, name)
-            real = isinstance(value, numbers.Real) and not isinstance(value, bool)
-            if not (real and math.isfinite(value)):
-                raise InvalidParameter(f"{name} must be a finite real, got {value!r}")
+            _check_real(name, getattr(self, name))
         if self.steps < 2:
             raise InvalidParameter("the chain needs at least two steps")
         if not 0.0 <= self.burn_fraction < 1.0:
@@ -597,12 +600,12 @@ def contraction_experiment(
         master = int(rng)
     else:
         master = int(rng.integers(2**63))
-    m_values = [int(m) for m in m_grid]
+    m_values = [_check_integer("each sequence count", m) for m in m_grid]
     if len(m_values) < 2 or any(m < 1 for m in m_values):
         raise InvalidParameter(
             "the size grid needs at least two sequence counts for a slope"
         )
-    replicates = int(replicates)
+    replicates = _check_integer("replicates", replicates)
     if replicates < 1:
         raise InvalidParameter("replicates must be >= 1")
     if len(m_values) * replicates < 3:

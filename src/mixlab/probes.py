@@ -22,7 +22,13 @@ from .errors import (
 )
 from .identifiability import _parse_direction
 from .kernels import LocScaleExponentialKernel
-from .measures import MixingMeasure, distance_DN, distance_Dr1r2, wasserstein
+from .measures import (
+    MixingMeasure,
+    _check_real,
+    distance_DN,
+    distance_Dr1r2,
+    wasserstein,
+)
 from .products import (
     MC_DEFAULT_BUDGET,
     MC_MIN_BUDGET,
@@ -320,8 +326,7 @@ def impact_probe_Dr(
     its meaning.
     """
     grid = _check_ell_grid(ell_grid)
-    if not (np.isscalar(r) and math.isfinite(r) and r >= 1):
-        raise InvalidParameter("order r must be a real number >= 1")
+    _check_real("r", r, 1)
     kernel.check_theta(G0.atoms)
     a, b = _parse_direction(kernel, G0.k, direction)
     if not np.any(b != 0.0):

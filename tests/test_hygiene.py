@@ -35,8 +35,9 @@ def test_module_level_imports_are_used(path):
     assert unused_imports(path) == []
 
 
-def integrate_imports(path):
-    """Modules named by import statements of path that are scipy.integrate."""
+def imported_names(path):
+    """Dotted names of the modules and members that import statements of
+    path bring in."""
     tree = ast.parse(path.read_text(), filename=str(path))
     found = []
     for node in ast.walk(tree):
@@ -45,12 +46,30 @@ def integrate_imports(path):
         elif isinstance(node, ast.ImportFrom) and node.module:
             found.append(node.module)
             found += [f"{node.module}.{alias.name}" for alias in node.names]
-    return sorted(name for name in found if name.startswith("scipy.integrate"))
+    return sorted(found)
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_no_second_quadrature_engine(path):
-    assert integrate_imports(path) == []
+    names = imported_names(path)
+    assert [name for name in names if name.startswith("scipy.integrate")] == []
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted(pathlib.Path(mixlab.__file__).parent.rglob("*.py")),
+    ids=lambda path: path.name,
+)
+def test_no_second_transport_solver(path):
+    """Optimal transport has one solver, the transportation simplex in
+    measures.py; no module reaches scipy's LP solver."""
+    names = imported_names(path)
+    assert [name for name in names if name.split(".")[-1] == "linprog"] == []
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert not any(
+        isinstance(node, ast.Attribute) and node.attr == "linprog"
+        for node in ast.walk(tree)
+    )
 
 
 def function_imports(path):

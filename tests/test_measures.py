@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from mixlab.errors import InvalidMeasure, InvalidParameter, MismatchedSupportSize
 from mixlab.measures import (
     MixingMeasure,
+    _transport_plan,
     atom_and_weight_distances,
     canonicalize,
     distance_DN,
@@ -33,8 +35,9 @@ class TestMixingMeasure:
         assert G.rho == pytest.approx(0.6)
 
     def test_weights_must_sum_to_one(self):
-        with pytest.raises(InvalidMeasure):
+        with pytest.raises(InvalidMeasure) as err:
             two_atom([0.2, 0.8], [0.5, 0.6])
+        assert str(err.value) == "weights must sum to 1 within 1e-12; got 1.1"
 
     def test_weights_must_be_positive(self):
         with pytest.raises(InvalidMeasure):
@@ -127,6 +130,98 @@ class TestDistanceDN:
             distance_DN(G, G, 0)
 
 
+BAD_ORDERS = [np.nan, np.inf, -np.inf, "2", True, None]
+
+
+class TestOrderArguments:
+    G = two_atom([0.2, 0.8], [0.5, 0.5])
+    G2 = two_atom([0.3, 0.6], [0.4, 0.6])
+
+    @pytest.mark.parametrize("value", BAD_ORDERS + [0, -1.0])
+    def test_DN_refuses(self, value):
+        with pytest.raises(InvalidParameter, match="N must be a finite real > 0"):
+            distance_DN(self.G, self.G2, value)
+
+    @pytest.mark.parametrize("value", BAD_ORDERS + [0.5])
+    def test_Dr1r2_refuses(self, value):
+        with pytest.raises(InvalidParameter, match="r1 must be a finite real >= 1"):
+            distance_Dr1r2(self.G, self.G2, value, 1)
+        with pytest.raises(InvalidParameter, match="r2 must be a finite real >= 1"):
+            distance_Dr1r2(self.G, self.G2, 1, value)
+
+    @pytest.mark.parametrize("value", BAD_ORDERS + [0.5])
+    def test_wasserstein_refuses(self, value):
+        with pytest.raises(InvalidParameter, match="p must be a finite real >= 1"):
+            wasserstein(self.G, self.G2, value)
+
+    def test_numpy_and_integer_orders_accepted(self):
+        assert distance_DN(self.G, self.G2, np.float64(4.0)) == distance_DN(
+            self.G, self.G2, 4
+        )
+        assert distance_Dr1r2(self.G, self.G2, np.int64(2), 1) == distance_Dr1r2(
+            self.G, self.G2, 2.0, 1.0
+        )
+        assert wasserstein(self.G, self.G2, np.int64(2)) == wasserstein(
+            self.G, self.G2, 2.0
+        )
+
+    def test_wasserstein_refuses_an_overflowing_cost(self):
+        G = two_atom([0.0, 1e100], [0.5, 0.5])
+        G2 = two_atom([0.0, -1e100], [0.5, 0.5])
+        with pytest.raises(InvalidParameter, match="overflows"):
+            wasserstein(G, G2, 4)
+
+    def test_wasserstein_refuses_a_total_that_could_overflow(self):
+        # Largest cost 1.69e308: finite, but twice it is not.
+        G = MixingMeasure([[0.0], [1.3e154], [2.0]], [0.3, 0.4, 0.3])
+        G2 = two_atom([1.3e154, 1.0], [0.5, 0.5])
+        with pytest.raises(InvalidParameter, match="overflows"):
+            wasserstein(G, G2, 2)
+
+    def test_huge_finite_costs_are_solved(self):
+        # Costs near 7e307 alternate along the starting tree, so potentials
+        # summed in the costs' own units would overflow to inf.
+        A = np.sqrt(np.finfo(float).max / 2.6)
+        d = 0.01 * A
+        G = MixingMeasure([[0.0], [A], [2 * d], [A + 2 * d]], np.full(4, 0.25))
+        G2 = MixingMeasure([[A + d], [d], [A + 3 * d], [3 * d]], np.full(4, 0.25))
+        expected = quantile_wasserstein(G, G2, 2)
+        assert wasserstein(G, G2, 2) == pytest.approx(expected, rel=1e-12)
+
+
+def linprog_wasserstein(G, G2, p):
+    """W_p from scipy's LP solver on the transportation polytope, as an
+    independent reference for the transportation simplex."""
+    diff = G.atoms[:, None, :] - G2.atoms[None, :, :]
+    cost = np.sqrt((diff**2).sum(axis=2)) ** p
+    k, k2 = cost.shape
+    rows = np.kron(np.eye(k), np.ones((1, k2)))
+    cols = np.kron(np.ones((1, k)), np.eye(k2))
+    res = linprog(
+        cost.ravel(),
+        A_eq=np.vstack([rows, cols]),
+        b_eq=np.concatenate([G.weights, G2.weights]),
+        bounds=(0, None),
+        method="highs",
+    )
+    assert res.success
+    return max(res.fun, 0.0) ** (1.0 / p)
+
+
+def quantile_wasserstein(G, G2, p):
+    """W_p on the line from the monotone coupling: the integral over t in
+    (0, 1) of |F^-1(t) - F2^-1(t)|^p, which is optimal for every p >= 1."""
+    x, y = G.atoms[:, 0], G2.atoms[:, 0]
+    order, order2 = np.argsort(x), np.argsort(y)
+    cum, cum2 = np.cumsum(G.weights[order]), np.cumsum(G2.weights[order2])
+    top = min(cum[-1], cum2[-1])
+    t = np.unique(np.clip(np.concatenate([[0.0], cum, cum2]), 0.0, top))
+    mid = (t[:-1] + t[1:]) / 2
+    quantile = x[order][np.searchsorted(cum, mid)]
+    quantile2 = y[order2][np.searchsorted(cum2, mid)]
+    return float((np.diff(t) * np.abs(quantile - quantile2) ** p).sum()) ** (1.0 / p)
+
+
 class TestWasserstein:
     def test_point_masses(self):
         a = MixingMeasure(np.array([[0.0]]), np.array([1.0]))
@@ -140,8 +235,14 @@ class TestWasserstein:
         assert wasserstein(G, G2, 1) == pytest.approx(0.2, abs=1e-9)
 
     def test_identity_zero(self, rng):
-        G = random_measure(rng, 3, 2)
-        assert wasserstein(G, G, 2) == pytest.approx(0.0, abs=1e-9)
+        measures = [
+            random_measure(rng, 3, 2),
+            random_measure(rng, 7, 1),
+            MixingMeasure(rng.uniform(size=(4, 3)), np.full(4, 0.25)),
+        ]
+        for G in measures:
+            for p in (1, 1.5, 2, 3):
+                assert wasserstein(G, G, p) == 0.0
 
     def test_unequal_atom_counts(self):
         G = two_atom([0.0, 1.0], [0.5, 0.5])
@@ -157,6 +258,89 @@ class TestWasserstein:
             bc = wasserstein(B, C, 1)
             ac = wasserstein(A, C, 1)
             assert ac <= ab + bc + 1e-9
+
+    # (k, k2, q, weights): "random" draws both weight vectors, "uniform"
+    # gives both uniform weights and "shared" gives the second measure the
+    # first one's weights; the last two force north-west-corner ties.
+    SHAPES = [
+        (3, 5, 2, "random"),
+        (6, 2, 1, "random"),
+        (1, 4, 2, "random"),
+        (4, 1, 3, "random"),
+        (1, 1, 2, "random"),
+        (5, 5, 3, "random"),
+        (8, 7, 3, "random"),
+        (4, 2, 2, "uniform"),
+        (6, 6, 1, "uniform"),
+        (3, 6, 3, "uniform"),
+        (5, 5, 2, "shared"),
+        (7, 7, 3, "shared"),
+    ]
+
+    @pytest.mark.parametrize("p", [1, 1.5, 2, 3])
+    @pytest.mark.parametrize("k, k2, q, weights", SHAPES)
+    def test_matches_linear_program(self, p, k, k2, q, weights):
+        rng = np.random.default_rng([k, k2, q, int(2 * p)])
+        for _ in range(5):
+            G, G2 = random_measure(rng, k, q), random_measure(rng, k2, q)
+            if weights == "uniform":
+                G = MixingMeasure(G.atoms, np.full(k, 1.0 / k))
+                G2 = MixingMeasure(G2.atoms, np.full(k2, 1.0 / k2))
+            elif weights == "shared":
+                G2 = MixingMeasure(G2.atoms, G.weights)
+            expected = linprog_wasserstein(G, G2, p)
+            assert wasserstein(G, G2, p) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("p", [1, 1.5, 2, 3])
+    def test_line_matches_monotone_coupling(self, rng, p):
+        for k, k2 in [(1, 3), (4, 4), (7, 5), (8, 8)]:
+            G, G2 = random_measure(rng, k, 1), random_measure(rng, k2, 1)
+            expected = quantile_wasserstein(G, G2, p)
+            assert wasserstein(G, G2, p) == pytest.approx(expected, rel=1e-12)
+            G2 = MixingMeasure(G2.atoms, np.full(k2, 1.0 / k2))
+            expected = quantile_wasserstein(G, G2, p)
+            assert wasserstein(G, G2, p) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("scale", [1e-6, 1e3])
+    def test_scales_with_the_atoms(self, rng, scale):
+        for p in (1, 2, 3):
+            G, G2 = random_measure(rng, 6, 2), random_measure(rng, 5, 2)
+            scaled = MixingMeasure(scale * G.atoms, G.weights)
+            scaled2 = MixingMeasure(scale * G2.atoms, G2.weights)
+            assert wasserstein(scaled, scaled2, p) == pytest.approx(
+                scale * wasserstein(G, G2, p), rel=1e-12
+            )
+
+    def test_plan_is_a_feasible_vertex(self, rng):
+        for k, k2 in [(1, 5), (4, 4), (6, 3), (8, 8)]:
+            for uniform in (False, True):
+                G, G2 = random_measure(rng, k, 2), random_measure(rng, k2, 2)
+                if uniform:
+                    G2 = MixingMeasure(G2.atoms, np.full(k2, 1.0 / k2))
+                cost = np.linalg.norm(G.atoms[:, None] - G2.atoms[None], axis=2)
+                plan = _transport_plan(cost, G.weights, G2.weights)
+                assert (plan >= 0.0).all()
+                assert np.abs(plan.sum(axis=1) - G.weights).max() <= 1e-15
+                assert np.abs(plan.sum(axis=0) - G2.weights).max() <= 1e-15
+                assert np.count_nonzero(plan) <= k + k2 - 1
+
+    def test_large_degenerate_problems_end(self):
+        # Uniform weights on a lattice make most pivots move no flow and
+        # many reduced costs tie; a solver that cycled would not return.
+        rng = np.random.default_rng(40)
+        lattice = np.stack(np.meshgrid(np.arange(8), np.arange(5)), -1).reshape(-1, 2)
+        uniform = np.full(40, 1.0 / 40)
+        pairs = [
+            (random_measure(rng, 40, 2), random_measure(rng, 40, 2)),
+            (
+                MixingMeasure(lattice, uniform),
+                MixingMeasure(lattice[rng.permutation(40)] + 1.0, uniform),
+            ),
+        ]
+        for G, G2 in pairs:
+            for p in (1, 2):
+                expected = linprog_wasserstein(G, G2, p)
+                assert wasserstein(G, G2, p) == pytest.approx(expected, rel=1e-12)
 
 
 class TestDr1r2:

@@ -794,6 +794,25 @@ class TestContractionExperiment:
                 MCMCConfig(steps=100), 0,
             )
 
+    @pytest.mark.parametrize(
+        "m_grid, replicates",
+        [
+            ((20, 40.9, 60), 2),
+            ((20, 40.0, 60), 2),
+            ((20, True, 60), 2),
+            ((20, "40", 60), 2),
+            ((20, 40, 60), 1.9),
+            ((20, 40, 60), 2.0),
+            ((20, 40, 60), True),
+        ],
+    )
+    def test_non_integer_sizes_rejected(self, m_grid, replicates):
+        with pytest.raises(InvalidParameter, match="must be an integer"):
+            contraction_experiment(
+                BERN, self.G0, m_grid, ("constant", 3), replicates,
+                MCMCConfig(steps=100), 0,
+            )
+
     def test_length_below_identifiable_length(self):
         with pytest.raises(InvalidParameter):
             contraction_experiment(
@@ -843,10 +862,14 @@ class TestContractionExperiment:
             length_law=("constant", 3), replicates=2, config=config,
         )
         a = contraction_experiment(rng=42, **kwargs)
+        kwargs.update(m_grid=np.array([30, 60]), replicates=np.int64(2))
         b = contraction_experiment(rng=42, **kwargs)
         c = contraction_experiment(rng=42, workers=2, **kwargs)
         assert len(a.rows) == 4
         assert a.rows == b.rows == c.rows
+        assert a.params == b.params
+        grid, replicates = b.params["m_grid"], b.params["replicates"]
+        assert [type(m) for m in grid] == [int, int] and type(replicates) is int
         for row in a.rows:
             assert row["N_bar"] == 3.0
             assert row["total_length"] == 3 * row["m"]

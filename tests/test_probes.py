@@ -275,6 +275,11 @@ class TestImpactProbe:
         with pytest.raises(InvalidParameter):
             impact_probe_Dr(GAMMA, GAMMA_G0, GAMMA_DIRECTION, 0.5)
 
+    @pytest.mark.parametrize("r", [np.nan, np.inf, "2", True])
+    def test_order_must_be_a_finite_real(self, r):
+        with pytest.raises(InvalidParameter, match="r must be a finite real >= 1"):
+            impact_probe_Dr(GAMMA, GAMMA_G0, GAMMA_DIRECTION, r)
+
 
 class TestCurvatureProbe:
     G0 = MixingMeasure(
