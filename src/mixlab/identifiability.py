@@ -17,8 +17,10 @@ from .errors import (
     InvalidParameter,
     QuadratureNonConvergence,
     RootBracketingFailed,
+    check_integer,
+    check_real,
 )
-from .kernels import BernoulliKernel, _gl_nodes, _segment_boundaries
+from .kernels import BernoulliKernel, gl_nodes, segment_boundaries
 from .measures import MixingMeasure
 from .products import estimate_divergence
 
@@ -110,10 +112,7 @@ def _basis_polynomials(basis, k, n):
     if basis == "bernstein":
         if n is None:
             n = 2 * k - 1
-        if not (isinstance(n, (int, np.integer)) and n >= 2 * k - 1):
-            raise InvalidParameter(
-                "bernstein basis needs an integer degree n >= 2k - 1"
-            )
+        n = check_integer("n", n, 2 * k - 1)
         return [x**j * one_minus ** (n - j) for j in range(2 * k)]
     raise InvalidParameter(f"unknown basis {basis!r}")
 
@@ -156,8 +155,7 @@ def bernoulli_first_order_system(G, n):
     then the value columns. Rank is min(n+1, 2k) for distinct atoms; the
     report carries a nullspace basis whenever the system is rank-deficient."""
     th = _check_binary_measure(G)
-    if not (isinstance(n, (int, np.integer)) and n >= 1):
-        raise InvalidParameter("length n must be a positive integer")
+    n = check_integer("n", n, 1)
     s = np.arange(n + 1, dtype=float)[:, None]
     t = th[None, :]
     values = t**s * (1 - t) ** (n - s)
@@ -198,9 +196,7 @@ def bernoulli_nonidentifiable_witness(G, a):
     k = G.k
     if k < 2:
         raise InvalidParameter("witness construction needs at least 2 atoms")
-    a = float(a)
-    if not (np.isfinite(a) and a > 0):
-        raise InvalidParameter("free parameter a must be positive and finite")
+    a = check_real("a", a, 0, strict=True)
     n = 2 * k - 2
     order = np.argsort(th_raw)
     th = th_raw[order]
@@ -354,11 +350,11 @@ def first_order_gram(kernel, atoms, grid_spec="auto"):
     if kernel.points is not None:
         ones = np.ones(kernel.points.size)
         return _gram_eigenvalue(kernel, atoms, kernel.points, ones)
-    bounds = _segment_boundaries(kernel, atoms, GRID_TAIL_EPS)
+    bounds = segment_boundaries(kernel, atoms, GRID_TAIL_EPS)
     panels = GRAM_BASE_PANELS
     previous = None
     for _ in range(GRAM_MAX_DOUBLINGS + 1):
-        points, weights = _gl_nodes(bounds, panels, GRAM_ORDER)
+        points, weights = gl_nodes(bounds, panels, GRAM_ORDER)
         value = _gram_eigenvalue(kernel, atoms, points, weights)
         if previous is not None and abs(value - previous) <= (
             GRAM_REL_CHANGE * max(abs(value), 1e-12)
@@ -371,7 +367,7 @@ def first_order_gram(kernel, atoms, grid_spec="auto"):
     )
 
 
-def _parse_direction(kernel, k, direction):
+def parse_direction(kernel, k, direction):
     flat = np.atleast_1d(np.asarray(direction, dtype=float))
     expected = k * (kernel.q + 1)
     if flat.shape != (expected,) or not np.all(np.isfinite(flat)):
@@ -396,15 +392,15 @@ def degenerate_direction_check(kernel, G0, direction, grid="auto"):
     Near-zero output certifies the direction as a first-order degeneracy of
     the atom set; a generic direction yields an order-one value."""
     atoms = kernel.check_theta(G0.atoms)
-    a, b = _parse_direction(kernel, atoms.shape[0], direction)
+    a, b = parse_direction(kernel, atoms.shape[0], direction)
     if isinstance(grid, dict):
         points, _ = _explicit_grid(grid, need_weights=False)
     elif grid == "auto":
         if kernel.points is not None:
             points = kernel.points
         else:
-            bounds = _segment_boundaries(kernel, atoms, GRID_TAIL_EPS)
-            points, _ = _gl_nodes(bounds, CHECK_PANELS, CHECK_ORDER)
+            bounds = segment_boundaries(kernel, atoms, GRID_TAIL_EPS)
+            points, _ = gl_nodes(bounds, CHECK_PANELS, CHECK_ORDER)
     else:
         raise InvalidParameter("grid must be 'auto' or a points dict")
     dens = kernel.density(points, atoms)

@@ -7,7 +7,6 @@ polynomial moment maps with closed-form Jacobian determinants.
 """
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +28,8 @@ from .errors import (
     MidpointOutsideDomain,
     NonDifferentiablePoint,
     QuadratureNonConvergence,
+    check_integer,
+    check_real,
 )
 
 FD_STEP = 1e-6
@@ -100,14 +101,6 @@ def _central_difference(fun, theta):
         diff = np.asarray(fun(up) - fun(dn))
         columns.append(diff / (2 * h.reshape(h.shape + (1,) * (diff.ndim - batch))))
     return columns
-
-
-def _real(value, name, lo, hi=math.inf):
-    """value as a float, refused unless it is a real number in (lo, hi)."""
-    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
-    if not (real and lo < value < hi):
-        raise InvalidParameter(f"{name} must be a real number in ({lo}, {hi})")
-    return float(value)
 
 
 class KernelFamily:
@@ -236,9 +229,7 @@ class BernoulliKernel(KernelFamily):
     q = 1
 
     def __init__(self, trials=1):
-        if not (isinstance(trials, (int, np.integer)) and trials >= 0):
-            raise InvalidParameter("trials must be a nonnegative integer")
-        self.trials = n = int(trials)
+        self.trials = n = check_integer("trials", trials, 0)
         self.points = np.arange(n + 1, dtype=float)
         self.expfam = ExpFamilySpec(
             stat=lambda x: np.asarray(x, dtype=float)[..., None],
@@ -307,7 +298,7 @@ class GaussianLocationKernel(KernelFamily):
     q = 1
 
     def __init__(self, sigma=1.0):
-        self.sigma = _real(sigma, "sigma", 0.0)
+        self.sigma = check_real("sigma", sigma, 0, strict=True)
         s2 = self.sigma**2
         self.expfam = ExpFamilySpec(
             stat=lambda x: np.asarray(x, dtype=float)[..., None],
@@ -545,10 +536,8 @@ class GaussianLocationMixtureKernel(KernelFamily):
     name = "gaussian_location_mixture"
 
     def __init__(self, k, sigma=1.0):
-        if not (isinstance(k, (int, np.integer)) and k >= 2):
-            raise InvalidParameter("mixture needs an integer k >= 2 components")
-        self.k = int(k)
-        self.sigma = _real(sigma, "sigma", 0.0)
+        self.k = check_integer("k", k, 2)
+        self.sigma = check_real("sigma", sigma, 0, strict=True)
         self.q = 2 * self.k - 1
 
     def split(self, theta):
@@ -638,7 +627,7 @@ class BetaPushforwardKernel(KernelFamily):
     q = 3
 
     def __init__(self, xi):
-        self.xi = _real(xi, "xi", 0.0, 1.0)
+        self.xi = check_real("xi", xi, 0, 1, strict=True)
 
     def in_box(self, theta):
         pi1, a1, a2 = theta[..., 0], theta[..., 1], theta[..., 2]
@@ -741,7 +730,7 @@ def hellinger_expfam(spec, theta1, theta2):
     return math.sqrt(max(h2, 0.0))
 
 
-def _segment_boundaries(kernel, atoms, tail_eps):
+def segment_boundaries(kernel, atoms, tail_eps):
     """Integration boundaries for the kernels at all atoms: the union of
     their finite tail bounds, cut at every breakpoint strictly inside."""
     los, his, cuts = [], [], set()
@@ -754,7 +743,7 @@ def _segment_boundaries(kernel, atoms, tail_eps):
     return [lo] + sorted(c for c in cuts if lo < c < hi) + [hi]
 
 
-def _gl_nodes(boundaries, panels_per_segment, order):
+def gl_nodes(boundaries, panels_per_segment, order):
     base_x, base_w = leggauss(order)
     xs, ws = [], []
     for a, b in zip(boundaries[:-1], boundaries[1:]):
@@ -834,7 +823,7 @@ def mixture_divergence(kernel, atoms, weights, atoms2, weights2, which):
     if kernel.points is not None:
         value, nodes = float(integrand(kernel.points).sum()), kernel.points.size
     else:
-        bounds = _segment_boundaries(kernel, both, TAIL_EPS)
+        bounds = segment_boundaries(kernel, both, TAIL_EPS)
         if which == "tv":
             a, b = np.array(bounds[:-1]), np.array(bounds[1:])
             t = np.arange(1, CROSSING_SCAN + 1) / (CROSSING_SCAN + 1)

@@ -35,8 +35,8 @@ from .measures import (
 from .posterior import (
     MCMCConfig,
     PriorSpec,
-    _resolve_length_law,
     contraction_experiment,
+    resolve_length_law,
 )
 from .products import estimate_divergence
 
@@ -68,7 +68,7 @@ COUNT, NONNEG = Scalar("integer", 1), Scalar("integer", 0)
 
 
 def _length_law(law):
-    _resolve_length_law(law)
+    resolve_length_law(law)
     return law
 
 

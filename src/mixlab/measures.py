@@ -8,15 +8,18 @@ optimal-transport distance with an exact transportation simplex.
 
 import itertools
 import json
-import math
-import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .errors import InvalidMeasure, InvalidParameter, MismatchedSupportSize
+from .errors import (
+    InvalidMeasure,
+    InvalidParameter,
+    MismatchedSupportSize,
+    check_real,
+)
 
 WEIGHT_TOL = 1e-12
 TIE_TOL = 1e-12
@@ -96,13 +99,13 @@ class MixingMeasure:
     def __post_init__(self):
         try:
             atoms = np.atleast_1d(np.asarray(self.atoms, dtype=float))
-        except ValueError as err:  # ragged or non-numeric atoms
-            raise InvalidMeasure(f"atoms must be a k x q array: {err}") from err
+            weights = np.asarray(self.weights, dtype=float).reshape(-1)
+        except (TypeError, ValueError) as err:  # ragged or non-numeric input
+            raise InvalidMeasure(f"atoms and weights must be numeric: {err}") from err
         if atoms.ndim == 1:
             atoms = atoms[:, None]
         if atoms.ndim != 2 or atoms.shape[0] < 1:
             raise InvalidMeasure("atoms must be a k x q array with k >= 1")
-        weights = np.asarray(self.weights, dtype=float).reshape(-1)
         if weights.shape[0] != atoms.shape[0]:
             raise InvalidMeasure("weights length must equal the atom count")
         fault = measure_fault(atoms, weights)
@@ -135,8 +138,15 @@ class MixingMeasure:
 
     @staticmethod
     def from_json(text):
-        doc = json.loads(text) if isinstance(text, str) else text
-        return MixingMeasure(np.asarray(doc["atoms"]), np.asarray(doc["weights"]))
+        """The measure of a JSON object, or of its parsed dict, with fields
+        atoms and weights."""
+        try:
+            doc = json.loads(text) if isinstance(text, str) else text
+            atoms, weights = doc["atoms"], doc["weights"]
+        except (ValueError, KeyError, TypeError) as err:
+            message = f"a measure is a JSON object with atoms and weights: {err!r}"
+            raise InvalidMeasure(message) from err
+        return MixingMeasure(atoms, weights)
 
 
 @dataclass(frozen=True)
@@ -175,41 +185,38 @@ def _weight_diff_matrix(G, G2):
 
 
 def _assignment_min(cost):
+    """Least matching total of a nonnegative cost matrix, and the matched
+    columns. A cost whose sum overflows is refused: every total is below it.
+    Callers build the cost with overflow warnings off."""
+    if not np.isfinite(cost.sum()):
+        raise InvalidParameter("the matching cost overflows")
     rows, cols = linear_sum_assignment(cost)
     return float(cost[rows, cols].sum()), cols
 
 
-def _check_real(name, value, lower=-math.inf, strict=False):
-    """Refuse anything but a finite real, not a bool, at or above lower
-    (strictly above it when strict)."""
-    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
-    if not (real and math.isfinite(value)) or value < lower or (
-        strict and value == lower
-    ):
-        bound = "" if lower == -math.inf else f" {'>' if strict else '>='} {lower}"
-        raise InvalidParameter(f"{name} must be a finite real{bound}, got {value!r}")
-
-
+@np.errstate(over="ignore")
 def distance_DN(G, G2, N):
     """Sequence-length metric: min over matchings of sqrt(N) * atom distance
     plus weight distance, summed over atoms. N may be any positive real."""
     _check_same_k(G, G2)
-    _check_real("N", N, 0, strict=True)
-    cost = np.sqrt(float(N)) * _atom_dist_matrix(G, G2) + _weight_diff_matrix(G, G2)
+    root_n = np.sqrt(check_real("N", N, 0, strict=True))
+    cost = root_n * _atom_dist_matrix(G, G2) + _weight_diff_matrix(G, G2)
     value, _ = _assignment_min(cost)
     return value
 
 
+@np.errstate(over="ignore")
 def distance_Dr1r2(G, G2, r1, r2):
     """Min over matchings of sum of atom distance^r1 + weight distance^r2."""
     _check_same_k(G, G2)
-    _check_real("r1", r1, 1)
-    _check_real("r2", r2, 1)
+    r1 = check_real("r1", r1, 1)
+    r2 = check_real("r2", r2, 1)
     cost = _atom_dist_matrix(G, G2) ** r1 + _weight_diff_matrix(G, G2) ** r2
     value, _ = _assignment_min(cost)
     return value
 
 
+@np.errstate(over="ignore")
 def atom_and_weight_distances(G, G2):
     """Independently matched atom-only and weight-only distances."""
     _check_same_k(G, G2)
@@ -322,7 +329,7 @@ def wasserstein(G, G2, p=1.0):
     ``_transport_plan``. It is built for small supports: measured at
     k = k2 <= 40, it takes 0.03 (k = 3) to about 0.75 (k = 40) of a
     general LP solver's time, a share that grows with k."""
-    _check_real("p", p, 1)
+    p = check_real("p", p, 1)
     with np.errstate(over="ignore"):
         cost = _atom_dist_matrix(G, G2) ** p
         # The total is at most the largest cost times a mass of 1 + rounding.
@@ -333,6 +340,7 @@ def wasserstein(G, G2, p=1.0):
     return float(max((cost * flow).sum(), 0.0)) ** (1.0 / p)
 
 
+@np.errstate(over="ignore")
 def optimal_matching(G, G0):
     """Best matching of G's atoms to G0's under the N=1 metric.
 

@@ -19,12 +19,13 @@ from .errors import (
     ConvergenceError,
     InvalidMeasure,
     InvalidParameter,
+    check_integer,
+    check_real,
 )
 from .kernels import logsumexp
 from .measures import (
     PERMUTATION_MAX,
     MixingMeasure,
-    _check_real,
     canonical_order,
     distance_DN,
     optimal_matching,
@@ -113,14 +114,6 @@ class PriorSpec:
         return atom_part + simplex_part
 
 
-def _check_integer(name, value):
-    """value as an int, after refusing anything but a Python or NumPy
-    integer; bools are refused."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise InvalidParameter(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
 @dataclass(frozen=True)
 class MCMCConfig:
     """Chain length and adaptation knobs for the random-walk sampler."""
@@ -133,24 +126,16 @@ class MCMCConfig:
     rejection_window: int = DEFAULT_REJECTION_WINDOW
 
     def __post_init__(self):
-        for name in ("steps", "adapt_interval", "rejection_window"):
-            _check_integer(name, getattr(self, name))
-        for name in ("burn_fraction", "initial_scale", "target_acceptance"):
-            _check_real(name, getattr(self, name))
-        if self.steps < 2:
-            raise InvalidParameter("the chain needs at least two steps")
-        if not 0.0 <= self.burn_fraction < 1.0:
+        check_integer("steps", self.steps, 2)
+        check_integer("adapt_interval", self.adapt_interval, 1)
+        check_integer("rejection_window", self.rejection_window, 2)
+        check_real("target_acceptance", self.target_acceptance, 0, 1, strict=True)
+        if not 0.0 <= check_real("burn_fraction", self.burn_fraction) < 1.0:
             raise InvalidParameter("burn_fraction must lie in [0, 1)")
         if self.burn_steps >= self.steps:
             raise InvalidParameter("burn-in must leave at least one stored draw")
-        if not 0.0 < self.initial_scale <= SCALE_CEILING:
+        if not 0.0 < check_real("initial_scale", self.initial_scale) <= SCALE_CEILING:
             raise InvalidParameter("initial_scale must be positive and bounded")
-        if not 0.0 < self.target_acceptance < 1.0:
-            raise InvalidParameter("target_acceptance must lie in (0, 1)")
-        if self.adapt_interval < 1:
-            raise InvalidParameter("adapt_interval must be >= 1")
-        if self.rejection_window < 2:
-            raise InvalidParameter("rejection_window must be >= 2")
 
     @property
     def burn_steps(self):
@@ -172,8 +157,7 @@ class Chain:
         for G in self.draws:
             if not isinstance(G, MixingMeasure):
                 raise InvalidParameter("draws must be mixing measures")
-        if not 0.0 < self.acceptance_rate < 1.0:
-            raise InvalidParameter("acceptance rate must lie strictly in (0, 1)")
+        check_real("acceptance_rate", self.acceptance_rate, 0, 1, strict=True)
         object.__setattr__(self, "draws", tuple(self.draws))
         object.__setattr__(self, "scale_trace", tuple(self.scale_trace))
 
@@ -182,13 +166,12 @@ def prior_sample(prior, k0, rng):
     """One mixing measure from the prior: weights as normalized exponential
     draws (uniform on the simplex), atoms uniform in the box; atom
     collisions trigger an atom redraw."""
-    if not (isinstance(k0, (int, np.integer)) and k0 >= 1):
-        raise InvalidParameter("k0 must be a positive integer")
-    raw = rng.exponential(size=int(k0))
+    k0 = check_integer("k0", k0, 1)
+    raw = rng.exponential(size=k0)
     weights = raw / raw.sum()
     lo, hi = prior.box[:, 0], prior.box[:, 1]
     for _ in range(COLLISION_RETRIES):
-        atoms = rng.uniform(lo, hi, size=(int(k0), prior.q))
+        atoms = rng.uniform(lo, hi, size=(k0, prior.q))
         try:
             return MixingMeasure(atoms, weights)
         except InvalidMeasure:
@@ -327,19 +310,17 @@ def mcmc_run(dataset, kernel, prior, k0, config, rng):
         raise InvalidParameter("dataset must be an ExchangeableDataset or None")
     if dataset is None:
         raise InvalidParameter("the sampler needs a dataset; got None")
-    if not (isinstance(k0, (int, np.integer)) and k0 >= 1):
-        raise InvalidParameter("k0 must be a positive integer")
+    k0 = check_integer("k0", k0, 1)
     if not isinstance(config, MCMCConfig):
         raise InvalidParameter("config must be an MCMCConfig")
     if prior.q != kernel.q:
         raise InvalidParameter("prior box dimension must match the kernel")
     seed = None
-    if isinstance(rng, (int, np.integer)):
-        seed = int(rng)
+    if not isinstance(rng, np.random.Generator):
+        seed = check_integer("rng", rng, 0)
         rng = np.random.default_rng(seed)
 
     loglik, rows = _likelihood_evaluator(kernel, dataset, prior)
-    k0 = int(k0)
     lo, hi = prior.box[:, 0], prior.box[:, 1]
     widths = prior.widths
 
@@ -491,10 +472,9 @@ def posterior_error_summary(chain, G0, N_bar):
     """Quantiles (0.5, 0.9, 0.95) of the sequence-length metric at N_bar,
     plus the atom and weight errors read off each draw's best matching to
     the truth."""
-    if not (np.isscalar(N_bar) and N_bar > 0):
-        raise InvalidParameter("N_bar must be a positive real")
-    d_mix, d_atom, d_weight = _matched_errors(chain.draws, G0, float(N_bar))
-    summary = {"N_bar": float(N_bar), "count": len(chain.draws)}
+    N_bar = check_real("N_bar", N_bar, 0, strict=True)
+    d_mix, d_atom, d_weight = _matched_errors(chain.draws, G0, N_bar)
+    summary = {"N_bar": N_bar, "count": len(chain.draws)}
     for key, values in (
         ("D_N", d_mix), ("d_theta", d_atom), ("d_p", d_weight)
     ):
@@ -553,21 +533,22 @@ def _ols_loglog(x, y):
     }
 
 
-def _resolve_length_law(length_law):
+def resolve_length_law(length_law):
+    """The shortest length of a ("constant", n) or ("uniform", lo, hi) law,
+    and its sampler of m lengths, (rng, m) -> list."""
     if not isinstance(length_law, (tuple, list)) or not length_law:
         raise InvalidParameter("length law must be a tuple")
-    kind, lengths = length_law[0], length_law[1:]
-    if not all(isinstance(n, (int, np.integer)) and n >= 1 for n in lengths):
-        raise InvalidParameter("length law lengths must be integers >= 1")
+    kind = length_law[0]
+    lengths = [check_integer("each length in length_law", n, 1) for n in length_law[1:]]
     if kind == "constant":
         if len(lengths) != 1:
             raise InvalidParameter("constant length law needs one length >= 1")
-        n = int(lengths[0])
+        n = lengths[0]
         return n, lambda rng, m: [n] * m
     if kind == "uniform":
         if len(lengths) != 2:
             raise InvalidParameter("uniform length law needs bounds (lo, hi)")
-        lo, hi = int(lengths[0]), int(lengths[1])
+        lo, hi = lengths
         if not 1 <= lo <= hi:
             raise InvalidParameter("uniform length bounds need 1 <= lo <= hi")
         return lo, lambda rng, m: [int(v) for v in rng.integers(lo, hi + 1, m)]
@@ -596,23 +577,21 @@ def contraction_experiment(
     the report. Chains run one after another in the calling process;
     ``workers`` is accepted and has no effect.
     """
-    if isinstance(rng, (int, np.integer)):
-        master = int(rng)
-    else:
+    if isinstance(rng, np.random.Generator):
         master = int(rng.integers(2**63))
-    m_values = [_check_integer("each sequence count", m) for m in m_grid]
-    if len(m_values) < 2 or any(m < 1 for m in m_values):
+    else:
+        master = check_integer("rng", rng, 0)
+    m_values = [check_integer("each entry of m_grid", m, 1) for m in m_grid]
+    if len(m_values) < 2:
         raise InvalidParameter(
             "the size grid needs at least two sequence counts for a slope"
         )
-    replicates = _check_integer("replicates", replicates)
-    if replicates < 1:
-        raise InvalidParameter("replicates must be >= 1")
+    replicates = check_integer("replicates", replicates, 1)
     if len(m_values) * replicates < 3:
         raise InvalidParameter("too few cells to fit a slope with a stderr")
     if not isinstance(config, MCMCConfig):
         raise InvalidParameter("config must be an MCMCConfig")
-    min_length, draw_lengths = _resolve_length_law(length_law)
+    min_length, draw_lengths = resolve_length_law(length_law)
     if kernel.points is not None:
         needed = 2 * G0.k - 1
     else:

@@ -8,7 +8,6 @@ from zero is consistent with an inverse bound.
 """
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,12 +18,13 @@ from .errors import (
     InvalidMeasure,
     InvalidParameter,
     InvalidPath,
+    check_integer,
+    check_real,
 )
-from .identifiability import _parse_direction
+from .identifiability import parse_direction
 from .kernels import LocScaleExponentialKernel
 from .measures import (
     MixingMeasure,
-    _check_real,
     distance_DN,
     distance_Dr1r2,
     wasserstein,
@@ -70,14 +70,11 @@ class ProbeRow:
     method: str
 
     def __post_init__(self):
-        if not (self.denominator > 0.0 and math.isfinite(self.denominator)):
-            raise InvalidParameter("denominator must be strictly positive")
-        if self.numerator < 0.0 or not math.isfinite(self.numerator):
-            raise InvalidParameter("numerator must be finite and nonnegative")
+        check_real("denominator", self.denominator, 0, strict=True)
+        check_real("numerator", self.numerator, 0)
+        check_real("numerator_stderr", self.numerator_stderr, 0)
         if self.method != "monte-carlo" and self.numerator_stderr != 0.0:
             raise InvalidParameter("exact numerators must report stderr zero")
-        if self.numerator_stderr < 0.0:
-            raise InvalidParameter("stderr must be nonnegative")
         expected = self.numerator / self.denominator
         if abs(self.ratio - expected) > RATIO_CONSISTENCY_TOL * max(1.0, expected):
             raise InvalidParameter("ratio must equal numerator / denominator")
@@ -141,11 +138,9 @@ def _make_row(series, index, estimate, denominator):
 
 
 def _check_ell_grid(ell_grid):
-    grid = [float(ell) for ell in ell_grid]
+    grid = [check_real("each entry of ell_grid", e, 0, strict=True) for e in ell_grid]
     if len(grid) < 2:
         raise InvalidParameter("the shrink grid needs at least two values")
-    if any(not math.isfinite(ell) or ell <= 0 for ell in grid):
-        raise InvalidParameter("shrink parameters must be positive and finite")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise InvalidParameter("the shrink grid must be strictly increasing")
     return grid
@@ -249,7 +244,8 @@ def weight_only_direction(G0, i=0, j=1):
     shrinking linearly, so the divergence-to-distance ratio is constant and
     never exceeds half the divergence between the two atom distributions.
     """
-    if i == j or not (0 <= i < G0.k and 0 <= j < G0.k):
+    i, j = check_integer("i", i, 0), check_integer("j", j, 0)
+    if i == j or not (i < G0.k and j < G0.k):
         raise InvalidParameter("atom indices must be distinct and in range")
     flat = np.zeros(G0.k * (G0.q + 1))
     flat[G0.k * G0.q + i] = 1.0
@@ -278,8 +274,11 @@ def inverse_ratio_probe(
     distance or collapses faster.
     """
     grid = _check_ell_grid(ell_grid)
+    N = check_integer("N", N, 1)
+    budget = check_integer("budget", budget, 1)
+    seed = check_integer("seed", seed, 0)
     kernel.check_theta(G0.atoms)
-    a, b = _parse_direction(kernel, G0.k, direction)
+    a, b = parse_direction(kernel, G0.k, direction)
     a_prime, b_prime = _normalized_direction(G0, a, b)
     rows = []
     denominators = []
@@ -297,12 +296,12 @@ def inverse_ratio_probe(
         "kernel": kernel.name,
         "G0": G0.to_json(),
         "direction": np.asarray(direction, dtype=float).tolist(),
-        "N": int(N),
+        "N": N,
         "divergence": divergence,
         "ell_grid": grid,
         "identity_from_ell": onset,
-        "budget": int(budget),
-        "seed": int(seed),
+        "budget": budget,
+        "seed": seed,
     }
     verdicts = {"ratio": _series_verdict(rows)}
     return ProbeReport("inverse_ratio", params, tuple(rows), verdicts)
@@ -326,9 +325,11 @@ def impact_probe_Dr(
     its meaning.
     """
     grid = _check_ell_grid(ell_grid)
-    _check_real("r", r, 1)
+    r = check_real("r", r, 1)
+    budget = check_integer("budget", budget, 1)
+    seed = check_integer("seed", seed, 0)
     kernel.check_theta(G0.atoms)
-    a, b = _parse_direction(kernel, G0.k, direction)
+    a, b = parse_direction(kernel, G0.k, direction)
     if not np.any(b != 0.0):
         raise InvalidParameter("the direction must move at least one weight")
     a_prime, b_prime = _normalized_direction(G0, a, b)
@@ -340,18 +341,18 @@ def impact_probe_Dr(
             kernel, G_ell, G0, 1, "tv", budget, seed, workers,
             label=f"path/tv/N1/ell{ell:g}",
         )
-        d_r = distance_Dr1r2(G_ell, G0, float(r), 1)
-        w_r = wasserstein(G_ell, G0, float(r)) ** float(r)
+        d_r = distance_Dr1r2(G_ell, G0, r, 1)
+        w_r = wasserstein(G_ell, G0, r) ** r
         rows_dr.append(_make_row("over_Dr1", ell, estimate, d_r))
         rows_wr.append(_make_row("over_Wr_r", ell, estimate, w_r))
     params = {
         "kernel": kernel.name,
         "G0": G0.to_json(),
         "direction": np.asarray(direction, dtype=float).tolist(),
-        "r": float(r),
+        "r": r,
         "ell_grid": grid,
-        "budget": int(budget),
-        "seed": int(seed),
+        "budget": budget,
+        "seed": seed,
     }
     verdicts = {
         "over_Dr1": _series_verdict(rows_dr),
@@ -454,33 +455,29 @@ def sqrtN_sharpness_probe(
     like the square root of the deflation factor when the exponent
     exceeds one, and stays flat at exponent one.
     """
-    if not (np.isscalar(psi_exponent) and math.isfinite(psi_exponent)):
-        raise InvalidParameter("psi_exponent must be a finite real")
-    if psi_exponent < 1.0:
-        raise InvalidParameter("psi_exponent must be at least 1")
-    if not all(
-        isinstance(n, numbers.Real) and math.isfinite(n) and int(n) == n for n in N_grid
-    ):
-        raise InvalidParameter("sequence lengths must be finite integers")
-    n_values = [int(n) for n in N_grid]
-    if len(n_values) < 2 or any(n < 1 for n in n_values):
-        raise InvalidParameter("the N grid needs at least two lengths >= 1")
+    psi_exponent = check_real("psi_exponent", psi_exponent, 1)
+    lengths = [check_real("each entry of N_grid", n, 1) for n in N_grid]
+    if any(n != int(n) for n in lengths):
+        raise InvalidParameter("each entry of N_grid must be an integral value")
+    n_values = [int(n) for n in lengths]
+    if len(n_values) < 2:
+        raise InvalidParameter("the N grid needs at least two lengths")
     if any(b <= a for a, b in zip(n_values, n_values[1:])):
         raise InvalidParameter("the N grid must be strictly increasing")
-    eps_values = [float(e) for e in eps_grid]
-    if not eps_values or any(not math.isfinite(e) for e in eps_values):
-        raise InvalidParameter("perturbation sizes must be finite")
+    eps_values = [check_real("each entry of eps_grid", e) for e in eps_grid]
     kernel.check_theta(G0.atoms)
-    if not (0 <= atom_index < G0.k and 0 <= coordinate < G0.q):
+    atom_index = check_integer("atom_index", atom_index, 0)
+    coordinate = check_integer("coordinate", coordinate, 0)
+    if not (atom_index < G0.k and coordinate < G0.q):
         raise InvalidParameter("perturbed atom or coordinate out of range")
     excluded = [e for e in eps_values if e == 0.0]
     active = [e for e in eps_values if e != 0.0]
     if not active:
-        raise InvalidParameter("all perturbation sizes are zero")
+        raise InvalidParameter("eps_grid needs a nonzero perturbation size")
     rows = []
     minima = []
     for n in n_values:
-        psi_n = float(n) ** float(psi_exponent)
+        psi_n = float(n) ** psi_exponent
         best = math.inf
         for eps in active:
             atoms = G0.atoms.copy()
@@ -517,11 +514,11 @@ def sqrtN_sharpness_probe(
     params = {
         "kernel": kernel.name,
         "G0": G0.to_json(),
-        "psi_exponent": float(psi_exponent),
+        "psi_exponent": psi_exponent,
         "N_grid": n_values,
         "eps_grid": eps_values,
-        "atom_index": int(atom_index),
-        "coordinate": int(coordinate),
+        "atom_index": atom_index,
+        "coordinate": coordinate,
         "excluded_epsilons": excluded,
     }
     verdicts = {
@@ -540,9 +537,7 @@ def lecam_two_point_bound(m, N, gamma, beta0, a):
     points grows with their separation; a sets the separation level.
     """
     for name, value in (("m", m), ("N", N), ("gamma", gamma), ("beta0", beta0)):
-        if not (np.isscalar(value) and math.isfinite(value) and value > 0):
-            raise InvalidParameter(f"{name} must be a positive finite real")
-    if not (np.isscalar(a) and 0.0 < a < 1.0):
-        raise InvalidParameter("a must lie strictly between 0 and 1")
+        check_real(name, value, 0, strict=True)
+    check_real("a", a, 0, 1, strict=True)
     half_sep = ((1.0 - a) / (gamma * math.sqrt(m * N))) ** (1.0 / beta0)
     return (a / 4.0) * half_sep

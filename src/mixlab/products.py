@@ -17,14 +17,15 @@ from .errors import (
     LengthMismatch,
     MismatchedSupportSize,
     QuadratureNonConvergence,
+    check_integer,
 )
 from .kernels import (
     TAIL_EPS,
-    _gl_nodes,
-    _segment_boundaries,
     divergence_numeric,
+    gl_nodes,
     logsumexp,
     mixture_divergence,
+    segment_boundaries,
 )
 from .measures import PERMUTATION_MAX, permutation_table
 from .rng import CHUNK, chunk_sizes, chunk_stream
@@ -40,12 +41,10 @@ class ProductMixtureModel:
     distributions of the kernel."""
 
     def __init__(self, measure, kernel, N):
-        if not (isinstance(N, (int, np.integer)) and N >= 1):
-            raise InvalidParameter("N must be a positive integer")
+        self.N = check_integer("N", N, 1)
         kernel.check_theta(measure.atoms)
         self.measure = measure
         self.kernel = kernel
-        self.N = int(N)
 
     def log_density(self, xbar):
         xbar = np.asarray(xbar, dtype=float).reshape(-1)
@@ -169,9 +168,7 @@ class DivergenceEstimate:
 
 def sample_dataset(G, kernel, lengths, rng, seed=None):
     """One latent component per sequence, then conditionally i.i.d. draws."""
-    lengths = [int(n) for n in lengths]
-    if any(n < 1 for n in lengths):
-        raise InvalidParameter("all sequence lengths must be >= 1")
+    lengths = [check_integer("each entry of lengths", n, 1) for n in lengths]
     comps = rng.choice(G.k, size=len(lengths), p=G.weights)
     seqs = []
     for c, n in zip(comps, lengths):
@@ -200,8 +197,7 @@ def _check_upper_bound_inputs(G, G2, N):
         raise BudgetExceeded(
             f"exact permutation search limited to k <= {PERMUTATION_MAX}"
         )
-    if not (isinstance(N, (int, np.integer)) and N >= 1):
-        raise InvalidParameter("N must be a positive integer")
+    check_integer("N", N, 1)
 
 
 def _min_over_matchings(G, G2, pair, scale, weight_term):
@@ -262,13 +258,13 @@ def _tensor_integral(G, G2, kernel, which, nodes, weights):
 
 
 def _quadrature_estimate_n2(G, G2, kernel, which):
-    bounds = _segment_boundaries(
+    bounds = segment_boundaries(
         kernel, np.concatenate([G.atoms, G2.atoms]), TAIL_EPS
     )
     panels = max(1, 64 // (len(bounds) - 1))
     for _ in range(6):
-        x8, w8 = _gl_nodes(bounds, panels, 8)
-        x16, w16 = _gl_nodes(bounds, panels, 16)
+        x8, w8 = gl_nodes(bounds, panels, 8)
+        x16, w16 = gl_nodes(bounds, panels, 16)
         coarse = _tensor_integral(G, G2, kernel, which, x8, w8)
         fine = _tensor_integral(G, G2, kernel, which, x16, w16)
         if abs(fine - coarse) < TENSOR_TOL:
@@ -370,8 +366,7 @@ def estimate_divergence(
     which = which.lower()
     if which not in ("tv", "hellinger"):
         raise InvalidParameter(f"unknown divergence {which!r}")
-    if not (isinstance(N, (int, np.integer)) and N >= 1):
-        raise InvalidParameter("N must be a positive integer")
+    N = check_integer("N", N, 1)
     for measure in (G, G2):
         kernel.check_theta(measure.atoms)
     reduced = kernel.sufficient_kernel(N)
@@ -387,18 +382,20 @@ def estimate_divergence(
         )
     if N == 2:
         return _quadrature_estimate_n2(G, G2, kernel, which)
+    budget = check_integer("budget", budget)
     if budget < MC_MIN_BUDGET:
         raise BudgetExceeded(
             f"Monte Carlo needs a budget of at least {MC_MIN_BUDGET} draws"
         )
+    seed = check_integer("seed", seed, 0)
     if label is None:
         label = f"divergence/{which}/N{N}"
-    return _mc_estimate(G, G2, kernel, N, which, int(budget), seed, workers, label)
+    return _mc_estimate(G, G2, kernel, N, which, budget, seed, workers, label)
 
 
 def d_mh(G, G0, kernel, lengths, budget=MC_DEFAULT_BUDGET, seed=0, workers=None):
     """Root average squared Hellinger across the per-sequence lengths."""
-    lengths = [int(n) for n in lengths]
+    lengths = [check_integer("each entry of lengths", n, 1) for n in lengths]
     if not lengths:
         raise InvalidParameter("lengths must be nonempty")
     cache = {}

@@ -199,3 +199,82 @@ def test_one_sampler_core_and_one_definition_of_measure_invariants():
     }
     assert "WEIGHT_TOL" not in names
     assert sums_compared_with_one(tree) == []
+
+
+PACKAGE = sorted(pathlib.Path(mixlab.__file__).parent.glob("*.py"))
+# Functions that may test for (int, np.integer) themselves: the report
+# formatter, which picks a text form and validates nothing.
+INTEGER_TESTS_ALLOWED = {"lab._fmt"}
+
+
+def scoped_nodes(node, scope="<module>"):
+    """Each node below node, with the name of the innermost function
+    holding it."""
+    for child in ast.iter_child_nodes(node):
+        inner = (
+            child.name
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            else scope
+        )
+        yield inner, child
+        yield from scoped_nodes(child, inner)
+
+
+def scalar_checks(path):
+    """Where path writes the scalar-argument policy itself, as
+    module.function: each np.isscalar or numbers.Real, and each isinstance
+    test against a tuple holding int and np.integer."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+    for scope, node in scoped_nodes(tree):
+        named = isinstance(node, ast.Attribute) and ast.unparse(node) in (
+            "np.isscalar",
+            "numbers.Real",
+        )
+        integer_test = (
+            isinstance(node, ast.Call)
+            and ast.unparse(node.func) == "isinstance"
+            and len(node.args) == 2
+            and isinstance(node.args[1], ast.Tuple)
+            and {"int", "np.integer"} <= set(map(ast.unparse, node.args[1].elts))
+        )
+        if named or integer_test:
+            found.append(f"{path.stem}.{scope}: {ast.unparse(node)}")
+    return found
+
+
+def test_one_argument_policy():
+    """check_real and check_integer in errors.py hold the policy for scalar
+    arguments; no other module defines a checker or tests a scalar's type
+    inline."""
+    definitions = sorted(
+        f"{path.stem}.{node.name}"
+        for path in PACKAGE
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.FunctionDef)
+        and ("check_real" in node.name or "check_integer" in node.name
+             or node.name == "_real")
+    )
+    assert definitions == ["errors.check_integer", "errors.check_real"]
+    inline = [
+        check
+        for path in PACKAGE
+        if path.name != "errors.py"
+        for check in scalar_checks(path)
+        if check.split(":")[0] not in INTEGER_TESTS_ALLOWED
+    ]
+    assert inline == []
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda path: path.name)
+def test_no_private_names_imported_across_modules(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    private = [
+        f"{node.module}.{alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or (node.module or "").startswith("mixlab"))
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
@@ -85,6 +87,24 @@ class TestMixingMeasure:
         assert np.array_equal(G.atoms, G2.atoms)
         assert np.array_equal(G.weights, G2.weights)
 
+    def test_non_numeric_weights_rejected(self):
+        with pytest.raises(InvalidMeasure, match="weights"):
+            MixingMeasure([[0.1], [0.2]], ["a", "b"])
+
+    @pytest.mark.parametrize(
+        "text, fault",
+        [
+            ('{"atoms": [[0.1], [0.2]]}', "weights"),
+            ('{"atoms": [[0.1], [0.2]], "weights": [0.5', "delimiter"),
+            ("[[0.1], [0.2]]", "list indices"),
+            ({"weights": [1.0]}, "atoms"),
+        ],
+    )
+    def test_from_json_refuses_a_malformed_document(self, text, fault):
+        with pytest.raises(InvalidMeasure, match="atoms and weights") as err:
+            MixingMeasure.from_json(text)
+        assert fault in str(err.value)
+
 
 class TestDistanceDN:
     def test_identity_is_zero(self, rng):
@@ -170,6 +190,23 @@ class TestOrderArguments:
         G2 = two_atom([0.0, -1e100], [0.5, 0.5])
         with pytest.raises(InvalidParameter, match="overflows"):
             wasserstein(G, G2, 4)
+
+    @pytest.mark.parametrize(
+        "distance, scale",
+        [
+            (lambda G, H: distance_DN(G, H, 1), 1e200),
+            (lambda G, H: distance_Dr1r2(G, H, 4, 1), 1e100),
+            (atom_and_weight_distances, 1e200),
+            (optimal_matching, 1e200),
+        ],
+    )
+    def test_matching_refuses_an_overflowing_cost(self, distance, scale):
+        G = MixingMeasure([[scale]], [1.0])
+        H = MixingMeasure([[-scale]], [1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidParameter, match="overflows"):
+                distance(G, H)
 
     def test_wasserstein_refuses_a_total_that_could_overflow(self):
         # Largest cost 1.69e308: finite, but twice it is not.

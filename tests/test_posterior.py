@@ -38,12 +38,12 @@ from mixlab.posterior import (
     _block_length,
     _likelihood_evaluator,
     _reflect_into_box,
-    _resolve_length_law,
     contraction_experiment,
     log_posterior_unnorm,
     mcmc_run,
     posterior_error_summary,
     prior_sample,
+    resolve_length_law,
 )
 from mixlab.products import ExchangeableDataset, sample_dataset
 
@@ -837,7 +837,7 @@ class TestContractionExperiment:
     )
     def test_non_integer_lengths_rejected(self, law):
         with pytest.raises(InvalidParameter):
-            _resolve_length_law(law)
+            resolve_length_law(law)
 
     def test_nonbinary_requires_prior(self):
         G = MixingMeasure(np.array([[-0.5], [0.5]]), [0.5, 0.5])
