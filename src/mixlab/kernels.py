@@ -183,10 +183,6 @@ class KernelFamily:
         """(lo, hi) support interval for continuous kernels, else None."""
         return self._support(*self._atom(theta))
 
-    def breakpoints(self, theta):
-        """Finite points where the density is discontinuous."""
-        return self._breakpoints(*self._atom(theta))
-
     def tail_bounds(self, theta, eps):
         """Finite [lo, hi] capturing all but eps probability per tail."""
         return self._tail_bounds(eps, *self._atom(theta))
@@ -207,9 +203,6 @@ class KernelFamily:
 
     def _support(self, *theta):
         return (-np.inf, np.inf)
-
-    def _breakpoints(self, *theta):
-        return []
 
     def _tail_bounds(self, eps, *theta):
         lo, hi = self._support(*theta) or (-np.inf, np.inf)
@@ -389,9 +382,6 @@ class GammaKernel(KernelFamily):
     def _support(self, *theta):
         return (0.0, np.inf)
 
-    def _breakpoints(self, *theta):
-        return [0.0]
-
     def _mean(self, alpha, beta):
         return float(alpha / beta)
 
@@ -446,9 +436,6 @@ class UniformKernel(KernelFamily):
     def _support(self, t):
         return (0.0, float(t))
 
-    def _breakpoints(self, t):
-        return [0.0, float(t)]
-
     def _mean(self, t):
         return float(t) / 2.0
 
@@ -487,9 +474,6 @@ class LocScaleExponentialKernel(KernelFamily):
 
     def _support(self, xi, sigma):
         return (float(xi), np.inf)
-
-    def _breakpoints(self, xi, sigma):
-        return [float(xi)]
 
     def _mean(self, xi, sigma):
         return float(xi + sigma)
@@ -658,9 +642,6 @@ class BetaPushforwardKernel(KernelFamily):
     def _support(self, *theta):
         return (0.0, 1.0)
 
-    def _breakpoints(self, *theta):
-        return [0.0, 1.0]
-
     def _mean(self, *theta):
         return self.xi
 
@@ -732,13 +713,14 @@ def hellinger_expfam(spec, theta1, theta2):
 
 def segment_boundaries(kernel, atoms, tail_eps):
     """Integration boundaries for the kernels at all atoms: the union of
-    their finite tail bounds, cut at every breakpoint strictly inside."""
+    their finite tail bounds, cut at every finite support end strictly
+    inside, where a density may jump."""
     los, his, cuts = [], [], set()
     for atom in np.reshape(atoms, (-1, kernel.q)):
         lo, hi = kernel.tail_bounds(atom, tail_eps)
         los.append(lo)
         his.append(hi)
-        cuts.update(kernel.breakpoints(atom))
+        cuts.update(end for end in kernel.support(atom) if math.isfinite(end))
     lo, hi = min(los), max(his)
     return [lo] + sorted(c for c in cuts if lo < c < hi) + [hi]
 
@@ -795,9 +777,9 @@ def mixture_divergence(kernel, atoms, weights, atoms2, weights2, which):
     """TV, Hellinger distance or KL between the kernel mixtures (atoms,
     weights) and (atoms2, weights2), and the number of integrand nodes: a
     sum over kernel.points for discrete kernels, else integrate_panels over
-    the union of the TAIL_EPS tail bounds, cut at breakpoints and, for TV,
-    where the two densities cross (a sign scan of CROSSING_SCAN interior
-    points per segment, refined by brentq)."""
+    the union of the TAIL_EPS tail bounds, cut at finite support ends and,
+    for TV, where the two densities cross (a sign scan of CROSSING_SCAN
+    interior points per segment, refined by brentq)."""
     both = np.concatenate([atoms, atoms2])
     log_w = np.log(np.concatenate([weights, weights2]))
     k = len(atoms)
@@ -844,9 +826,9 @@ def divergence_numeric(kernel, theta1, theta2, which):
     mixtures; the Hellinger DISTANCE (not squared) for which='hellinger'.
     QuadratureNonConvergence, not a truncated value, where the panels cannot
     resolve the integral (e.g. an unbounded density at a support end)."""
-    which = which.lower()
+    which = which.lower() if isinstance(which, str) else which
     if which not in ("tv", "hellinger", "kl"):
-        raise InvalidParameter(f"unknown divergence {which!r}")
+        raise InvalidParameter(f"unknown divergence which={which!r}")
     t1 = kernel._atom(theta1)
     t2 = kernel._atom(theta2)
     if which == "kl" and kernel.points is None:

@@ -27,9 +27,10 @@ PERMUTATION_MAX = 7
 TRANSPORT_TOL = 1e-12
 
 
+@np.errstate(over="ignore")
 def _min_gap(atoms):
     """Smallest pairwise Euclidean gap between the rows of (..., k, q)
-    atoms, one per leading index; inf for a single row."""
+    atoms, one per leading index; inf for one row or an overflowing gap."""
     diff = atoms[..., :, None, :] - atoms[..., None, :, :]
     dists = np.sqrt((diff**2).sum(axis=-1))
     diagonal = np.arange(atoms.shape[-2])

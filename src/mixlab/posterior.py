@@ -19,6 +19,7 @@ from .errors import (
     ConvergenceError,
     InvalidMeasure,
     InvalidParameter,
+    MismatchedSupportSize,
     check_integer,
     check_real,
 )
@@ -69,7 +70,10 @@ class PriorSpec:
     box: np.ndarray
 
     def __post_init__(self):
-        box = np.atleast_2d(np.asarray(self.box, dtype=float))
+        try:
+            box = np.atleast_2d(np.asarray(self.box, dtype=float))
+        except (TypeError, ValueError) as err:  # ragged or non-numeric input
+            raise InvalidParameter(f"prior box must be numeric: {err}") from err
         if box.shape != (self.kernel.q, 2):
             raise InvalidParameter(
                 f"prior box must be a {self.kernel.q} x 2 array of intervals"
@@ -144,22 +148,37 @@ class MCMCConfig:
 
 @dataclass(frozen=True)
 class Chain:
-    """Stored post-burn-in draws with sampler diagnostics."""
+    """Stored post-burn-in draws with sampler diagnostics. The T draws are
+    the rows of read-only (T, k, q) atoms and (T, k) weights."""
 
-    draws: tuple
+    atoms: np.ndarray
+    weights: np.ndarray
     acceptance_rate: float
     scale_trace: tuple
     seed: object
 
     def __post_init__(self):
-        if not self.draws:
-            raise InvalidParameter("a chain needs at least one stored draw")
-        for G in self.draws:
-            if not isinstance(G, MixingMeasure):
-                raise InvalidParameter("draws must be mixing measures")
+        try:
+            atoms = np.array(self.atoms, dtype=float)
+            weights = np.array(self.weights, dtype=float)
+        except (TypeError, ValueError) as err:  # ragged or non-numeric input
+            raise InvalidParameter(f"chain draws must be numeric: {err}") from err
+        if atoms.ndim != 3 or min(atoms.shape) < 1 or weights.shape != atoms.shape[:2]:
+            message = "chain draws must be (T, k, q) atoms and (T, k) weights, T >= 1"
+            raise InvalidParameter(message)
+        if not valid_measures(atoms, weights).all():
+            raise InvalidParameter("every chain draw must be a valid mixing measure")
         check_real("acceptance_rate", self.acceptance_rate, 0, 1, strict=True)
-        object.__setattr__(self, "draws", tuple(self.draws))
+        atoms.flags.writeable = False
+        weights.flags.writeable = False
+        object.__setattr__(self, "atoms", atoms)
+        object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "scale_trace", tuple(self.scale_trace))
+
+    @property
+    def draws(self):
+        """The stored draws as a tuple of MixingMeasure, built on each read."""
+        return tuple(MixingMeasure(a, w) for a, w in zip(self.atoms, self.weights))
 
 
 def prior_sample(prior, k0, rng):
@@ -306,10 +325,9 @@ def mcmc_run(dataset, kernel, prior, k0, config, rng):
     generator stream, the draws, the acceptance rate and the scale trace
     are those of a chain that makes one proposal per step, whatever B is.
     """
-    if dataset is not None and not isinstance(dataset, ExchangeableDataset):
-        raise InvalidParameter("dataset must be an ExchangeableDataset or None")
-    if dataset is None:
-        raise InvalidParameter("the sampler needs a dataset; got None")
+    if not isinstance(dataset, ExchangeableDataset):
+        kind = type(dataset).__name__
+        raise InvalidParameter(f"the sampler needs an ExchangeableDataset, got {kind}")
     k0 = check_integer("k0", k0, 1)
     if not isinstance(config, MCMCConfig):
         raise InvalidParameter("config must be an MCMCConfig")
@@ -411,17 +429,10 @@ def mcmc_run(dataset, kernel, prior, k0, config, rng):
     order = canonical_order(kept_atoms)
     kept_atoms = np.take_along_axis(kept_atoms, order[:, :, None], axis=1)
     kept_weights = np.take_along_axis(kept_weights, order, axis=1)
-    return Chain(
-        draws=tuple(
-            MixingMeasure(a, w) for a, w in zip(kept_atoms, kept_weights)
-        ),
-        acceptance_rate=accepted / config.steps,
-        scale_trace=tuple(trace),
-        seed=seed,
-    )
+    return Chain(kept_atoms, kept_weights, accepted / config.steps, trace, seed)
 
 
-def _matched_errors(draws, G0, N):
+def _matched_errors(chain, G0, N):
     """Per-draw distances to the truth.
 
     The mixed metric minimizes over matchings on its own; the atom and
@@ -432,10 +443,9 @@ def _matched_errors(draws, G0, N):
     assignment-solver distances up to rounding.
     """
     k = G0.k
-    n = len(draws)
+    atoms, weights = chain.atoms, chain.weights
+    n = len(atoms)
     if k <= PERMUTATION_MAX:
-        atoms = np.stack([G.atoms for G in draws])
-        weights = np.stack([G.weights for G in draws])
         root_n = math.sqrt(float(N))
         d_mix = np.full(n, np.inf)
         best = np.full(n, np.inf)
@@ -458,23 +468,25 @@ def _matched_errors(draws, G0, N):
     d_mix = np.empty(n)
     d_atom = np.empty(n)
     d_weight = np.empty(n)
-    for i, G in enumerate(draws):
+    for i, G in enumerate(chain.draws):
         d_mix[i] = distance_DN(G, G0, N)
         perm = list(optimal_matching(G, G0).permutation)
-        d_atom[i] = float(
-            np.linalg.norm(G.atoms[perm] - G0.atoms, axis=1).sum()
-        )
-        d_weight[i] = float(np.abs(G.weights[perm] - G0.weights).sum())
+        d_atom[i] = np.linalg.norm(G.atoms[perm] - G0.atoms, axis=1).sum()
+        d_weight[i] = np.abs(G.weights[perm] - G0.weights).sum()
     return d_mix, d_atom, d_weight
 
 
 def posterior_error_summary(chain, G0, N_bar):
     """Quantiles (0.5, 0.9, 0.95) of the sequence-length metric at N_bar,
     plus the atom and weight errors read off each draw's best matching to
-    the truth."""
+    the truth. MismatchedSupportSize when the truth's (k, q) is not the
+    draws'."""
     N_bar = check_real("N_bar", N_bar, 0, strict=True)
-    d_mix, d_atom, d_weight = _matched_errors(chain.draws, G0, N_bar)
-    summary = {"N_bar": N_bar, "count": len(chain.draws)}
+    if G0.atoms.shape != chain.atoms.shape[1:]:
+        shapes = f"{chain.atoms.shape[1:]} vs {G0.atoms.shape}"
+        raise MismatchedSupportSize(f"draw and truth (k, q) differ: {shapes}")
+    d_mix, d_atom, d_weight = _matched_errors(chain, G0, N_bar)
+    summary = {"N_bar": N_bar, "count": len(chain.atoms)}
     for key, values in (
         ("D_N", d_mix), ("d_theta", d_atom), ("d_p", d_weight)
     ):
@@ -575,7 +587,7 @@ def contraction_experiment(
     observation count. Every (size, replicate) task derives its stream
     from the master seed and its label, so execution order never changes
     the report. Chains run one after another in the calling process;
-    ``workers`` is accepted and has no effect.
+    ``workers``, None or an integer >= 1, has no effect.
     """
     if isinstance(rng, np.random.Generator):
         master = int(rng.integers(2**63))
@@ -587,6 +599,7 @@ def contraction_experiment(
             "the size grid needs at least two sequence counts for a slope"
         )
     replicates = check_integer("replicates", replicates, 1)
+    check_integer("workers", 1 if workers is None else workers, 1)
     if len(m_values) * replicates < 3:
         raise InvalidParameter("too few cells to fit a slope with a stderr")
     if not isinstance(config, MCMCConfig):

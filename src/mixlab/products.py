@@ -78,7 +78,10 @@ class ProductMixtureModel:
 
 
 def _checked_sequence(values):
-    arr = np.asarray(values, dtype=float).reshape(-1)
+    try:
+        arr = np.asarray(values, dtype=float).reshape(-1)
+    except (TypeError, ValueError) as err:  # ragged or non-numeric input
+        raise InvalidParameter(f"sequences must be numeric: {err}") from err
     if arr.size < 1:
         raise InvalidParameter("every sequence needs at least one value")
     if not np.all(np.isfinite(arr)):
@@ -363,10 +366,11 @@ def estimate_divergence(
     engine (exact enumeration over kernel.points for discrete kernels,
     quadrature otherwise), the N = 2 tensor grid, and above that
     balanced-mixture Monte Carlo."""
-    which = which.lower()
+    which = which.lower() if isinstance(which, str) else which
     if which not in ("tv", "hellinger"):
-        raise InvalidParameter(f"unknown divergence {which!r}")
+        raise InvalidParameter(f"unknown divergence which={which!r}")
     N = check_integer("N", N, 1)
+    check_integer("workers", 1 if workers is None else workers, 1)
     for measure in (G, G2):
         kernel.check_theta(measure.atoms)
     reduced = kernel.sufficient_kernel(N)

@@ -14,8 +14,10 @@ from mixlab.identifiability import bernoulli_first_order_system, gen_vandermonde
 from mixlab.kernels import (
     BernoulliKernel,
     BetaPushforwardKernel,
+    GammaKernel,
     GaussianLocationKernel,
     GaussianLocationMixtureKernel,
+    divergence_numeric,
 )
 from mixlab.measures import MixingMeasure
 from mixlab.posterior import (
@@ -48,8 +50,14 @@ H = MixingMeasure([[0.3], [0.6]], [0.5, 0.5])
 PRIOR = PriorSpec(BERN, [[0.01, 0.99]])
 DATA = ExchangeableDataset([np.array([1.0, 0.0, 1.0])] * 4)
 CONFIG = MCMCConfig(steps=100)
-CHAIN = Chain(draws=(G, H), acceptance_rate=0.5, scale_trace=(), seed=None)
+CHAIN = Chain(
+    atoms=[G.atoms, H.atoms], weights=[G.weights, H.weights],
+    acceptance_rate=0.5, scale_trace=(), seed=None,
+)
 DIRECTION = [1.0, -0.5, 0.3, -0.3]
+GAMMA = GammaKernel()
+G_GAMMA = MixingMeasure([[2.0, 1.0], [4.0, 1.5]], [0.4, 0.6])
+H_GAMMA = MixingMeasure([[2.5, 1.0], [3.5, 1.5]], [0.5, 0.5])
 
 
 def rng():
@@ -63,6 +71,11 @@ def probe(**kwargs):
 def sharpness(**kwargs):
     args = dict(kernel=GAUSS, G0=G, psi_exponent=1.0)
     return sqrtN_sharpness_probe(**dict(args, **kwargs))
+
+
+def gamma_divergence(**kwargs):
+    """The Monte Carlo rung: gamma has no sufficient statistic at N = 3."""
+    return estimate_divergence(G_GAMMA, H_GAMMA, GAMMA, 3, "tv", **kwargs)
 
 
 def contraction(**kwargs):
@@ -110,6 +123,28 @@ BAD_CALLS = [
     ("mixture-sigma-inf",
      lambda: GaussianLocationMixtureKernel(2, sigma=math.inf), "sigma"),
     ("BetaPushforward-xi-bool", lambda: BetaPushforwardKernel(True), "xi"),
+    ("estimate_divergence-workers-str", lambda: gamma_divergence(workers="x"), "workers"),
+    ("estimate_divergence-workers-float",
+     lambda: gamma_divergence(workers=2.5), "workers"),
+    ("estimate_divergence-workers-bool",
+     lambda: gamma_divergence(workers=True), "workers"),
+    ("estimate_divergence-workers-zero", lambda: gamma_divergence(workers=0), "workers"),
+    ("estimate_divergence-workers-negative",
+     lambda: gamma_divergence(workers=-1), "workers"),
+    ("d_mh-workers-zero", lambda: d_mh(G, H, BERN, [3], workers=0), "workers"),
+    ("contraction-workers-float", lambda: contraction(workers=2.5), "workers"),
+    ("contraction-workers-zero", lambda: contraction(workers=0), "workers"),
+    ("PriorSpec-box-str", lambda: PriorSpec(BERN, [["a", 0.5]]), "box"),
+    ("ExchangeableDataset-sequences-str",
+     lambda: ExchangeableDataset(["ab"]), "sequences"),
+    ("estimate_divergence-which-none",
+     lambda: estimate_divergence(G, H, BERN, 3, None), "which"),
+    ("estimate_divergence-which-int",
+     lambda: estimate_divergence(G, H, BERN, 3, 3), "which"),
+    ("divergence_numeric-which-none",
+     lambda: divergence_numeric(GAUSS, [0.1], [0.2], None), "which"),
+    ("divergence_numeric-which-int",
+     lambda: divergence_numeric(GAUSS, [0.1], [0.2], 3), "which"),
 ]
 
 

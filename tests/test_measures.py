@@ -81,6 +81,12 @@ class TestMixingMeasure:
         G = MixingMeasure(np.array([[1.0, 2.0]]), np.array([1.0]))
         assert G.rho == np.inf
 
+    def test_overflowing_gap_is_inf_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            G = MixingMeasure([[1e200], [-1e200]], [0.5, 0.5])
+            assert G.rho == np.inf
+
     def test_json_round_trip(self):
         G = two_atom([[0.2, 1.0], [0.8, -1.0]], [0.3, 0.7])
         G2 = MixingMeasure.from_json(G.to_json())

@@ -10,7 +10,11 @@ from scipy.stats import beta as beta_dist
 from scipy.stats import kstest
 
 from mixlab import posterior
-from mixlab.errors import AllProposalsRejected, InvalidParameter
+from mixlab.errors import (
+    AllProposalsRejected,
+    InvalidParameter,
+    MismatchedSupportSize,
+)
 from mixlab.kernels import (
     BernoulliKernel,
     GammaKernel,
@@ -162,12 +166,20 @@ def _reference_chain(dataset, kernel, prior, k0, config, seed):
     kept_atoms = np.take_along_axis(kept_atoms, order[:, :, None], axis=1)
     kept_weights = np.take_along_axis(kept_weights, order, axis=1)
     return Chain(
-        draws=tuple(
-            MixingMeasure(a, w) for a, w in zip(kept_atoms, kept_weights)
-        ),
+        atoms=kept_atoms,
+        weights=kept_weights,
         acceptance_rate=accepted / config.steps,
         scale_trace=tuple(trace),
         seed=seed,
+    )
+
+
+def chain_of(draws):
+    """A chain whose stored draws are the given measures."""
+    return Chain(
+        atoms=np.stack([G.atoms for G in draws]),
+        weights=np.stack([G.weights for G in draws]),
+        acceptance_rate=0.5, scale_trace=((0, 0.25),), seed=None,
     )
 
 
@@ -676,22 +688,60 @@ class TestMCMCRun:
             mcmc_run(CONJ_DATA, BERN, UNIT_PRIOR, 1, {"steps": 100}, 0)
 
     def test_chain_invariants(self):
-        G = MixingMeasure(np.array([[0.5]]), [1.0])
-        with pytest.raises(InvalidParameter):
-            Chain(draws=(), acceptance_rate=0.5, scale_trace=((0, 0.1),), seed=0)
-        with pytest.raises(InvalidParameter):
-            Chain(draws=(G,), acceptance_rate=0.0, scale_trace=((0, 0.1),), seed=0)
-        with pytest.raises(InvalidParameter):
-            Chain(draws=(G,), acceptance_rate=1.0, scale_trace=((0, 0.1),), seed=0)
+        # (atoms, weights, acceptance rate), each refused
+        cases = [
+            (np.empty((0, 1, 1)), np.empty((0, 1)), 0.5),  # no draws
+            ([[[0.5]]], [[1.0]], 0.0),
+            ([[[0.5]]], [[1.0]], 1.0),
+            ([[[0.2], [0.7]]], [[0.5, 0.6]], 0.5),  # weights sum to 1.1
+            ([[[0.2], [0.2]]], [[0.5, 0.5]], 0.5),  # duplicate atoms
+            ([[[0.2], [np.nan]]], [[0.5, 0.5]], 0.5),
+            ([[[0.2], [0.7]]], [[0.5, 0.5], [0.5, 0.5]], 0.5),  # T differs
+            ([[[0.2], [0.7]]], [[0.3, 0.3, 0.4]], 0.5),  # k differs
+            ([[0.2, 0.7]], [[0.5, 0.5]], 0.5),  # atoms not (T, k, q)
+            ([[[0.2], [0.7]]], [["a", "b"]], 0.5),
+        ]
+        for atoms, weights, rate in cases:
+            with pytest.raises(InvalidParameter):
+                Chain(atoms, weights, rate, scale_trace=((0, 0.1),), seed=0)
+
+    def test_chain_holds_read_only_arrays(self):
+        atoms = np.array([[[0.2], [0.7]], [[0.3], [0.6]]])
+        weights = np.array([[0.4, 0.6], [0.5, 0.5]])
+        chain = Chain(atoms, weights, 0.5, scale_trace=((0, 0.1),), seed=0)
+        atoms[0, 0, 0] = 0.9
+        assert chain.atoms[0, 0, 0] == 0.2
+        with pytest.raises(ValueError):
+            chain.atoms[0, 0, 0] = 0.9
+        with pytest.raises(ValueError):
+            chain.weights[0, 0] = 0.9
+        assert len(chain.draws) == 2
+        for G, a, w in zip(chain.draws, chain.atoms, chain.weights):
+            assert isinstance(G, MixingMeasure)
+            assert np.array_equal(G.atoms, a) and np.array_equal(G.weights, w)
+
+    def test_sampler_and_summary_build_no_per_draw_measures(self, monkeypatch):
+        G0 = MixingMeasure(np.array([[0.25], [0.75]]), [0.4, 0.6])
+        dataset = ExchangeableDataset([[1.0, 0.0, 1.0], [0.0, 0.0, 1.0]] * 10)
+        post_init = MixingMeasure.__post_init__
+        built = []
+
+        def counting(self):
+            built.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(MixingMeasure, "__post_init__", counting)
+        chain = mcmc_run(dataset, BERN, UNIT_PRIOR, 2, MCMCConfig(steps=400), 3)
+        posterior_error_summary(chain, G0, 3.0)
+        # The one measure is prior_sample's starting point.
+        assert len(built) == 1
+        assert len(chain.atoms) == 300
 
 
 class TestPosteriorErrorSummary:
     def test_chain_of_copies_gives_zeros(self):
         G0 = MixingMeasure(np.array([[0.25], [0.75]]), [0.4, 0.6])
-        chain = Chain(
-            draws=(G0,) * 50, acceptance_rate=0.5,
-            scale_trace=((0, 0.25),), seed=None,
-        )
+        chain = chain_of((G0,) * 50)
         summary = posterior_error_summary(chain, G0, 3.0)
         for metric in ("D_N", "d_theta", "d_p"):
             for key in ("q50", "q90", "q95"):
@@ -722,10 +772,7 @@ class TestPosteriorErrorSummary:
         draws = tuple(
             canonicalize(prior_sample(prior, 2, rng)) for _ in range(100)
         )
-        chain = Chain(
-            draws=draws, acceptance_rate=0.5, scale_trace=((0, 0.25),),
-            seed=None,
-        )
+        chain = chain_of(draws)
         summary = posterior_error_summary(chain, G0, 2.5)
         direct = np.quantile(
             [distance_DN(G, G0, 2.5) for G in draws], [0.5, 0.9, 0.95]
@@ -734,7 +781,7 @@ class TestPosteriorErrorSummary:
         assert summary["D_N"]["q90"] == pytest.approx(direct[1], abs=1e-12)
         assert summary["D_N"]["q95"] == pytest.approx(direct[2], abs=1e-12)
 
-    @pytest.mark.parametrize("k", [3, 7])
+    @pytest.mark.parametrize("k", [3, 7, 8])
     def test_component_errors_come_from_one_matching(self, k):
         from mixlab.measures import optimal_matching
 
@@ -744,10 +791,7 @@ class TestPosteriorErrorSummary:
         draws = tuple(
             canonicalize(prior_sample(prior, k, rng)) for _ in range(60)
         )
-        chain = Chain(
-            draws=draws, acceptance_rate=0.5, scale_trace=((0, 0.25),),
-            seed=None,
-        )
+        chain = chain_of(draws)
         summary = posterior_error_summary(chain, G0, 4.0)
         atom_err = []
         weight_err = []
@@ -777,6 +821,22 @@ class TestPosteriorErrorSummary:
             sorted_version = atom_and_weight_distances(canonicalize(G), G0)
             assert direct[0] == pytest.approx(sorted_version[0], abs=1e-12)
             assert direct[1] == pytest.approx(sorted_version[1], abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "draw, truth",
+        [
+            (([[0.5]], [1.0]), ([[0.25], [0.75]], [0.4, 0.6])),
+            (([[0.25], [0.75]], [0.4, 0.6]), ([[0.25, 0.1], [0.75, 0.1]], [0.4, 0.6])),
+        ],
+        ids=["k", "q"],
+    )
+    def test_truth_shape_must_match_the_draws(self, draw, truth):
+        chain = chain_of((MixingMeasure(*draw),) * 5)
+        G0 = MixingMeasure(*truth)
+        with pytest.raises(MismatchedSupportSize) as err:
+            posterior_error_summary(chain, G0, 3.0)
+        assert str(chain.atoms.shape[1:]) in str(err.value)
+        assert str(G0.atoms.shape) in str(err.value)
 
     def test_nbar_validation(self, conjugate_chain):
         G0 = MixingMeasure(np.array([[0.625]]), [1.0])
