@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import Polynomial
-from scipy.optimize import brentq
 
 from .errors import (
     InvalidParameter,
@@ -20,7 +19,12 @@ from .errors import (
     check_integer,
     check_real,
 )
-from .kernels import BernoulliKernel, gl_nodes, segment_boundaries
+from .kernels import (
+    BernoulliKernel,
+    bracketed_roots,
+    gl_nodes,
+    segment_boundaries,
+)
 from .measures import MixingMeasure
 from .products import estimate_divergence
 
@@ -166,13 +170,7 @@ def bernoulli_first_order_system(G, n):
     _, sing, vt = np.linalg.svd(A)
     tol = sing.max() * max(A.shape) * RANK_TOL_FACTOR
     rank = int((sing > tol).sum())
-    nullspace = vt[rank:].T.copy()
-    return LinearSystemReport(
-        matrix=A,
-        rank=rank,
-        smallest_singular_value=float(sing.min()),
-        nullspace=nullspace,
-    )
+    return LinearSystemReport(A, rank, float(sing.min()), vt[rank:].T.copy())
 
 
 def _binary_moment_vector(th, weights, n):
@@ -205,15 +203,12 @@ def bernoulli_nonidentifiable_witness(G, a):
     y = p * (1 - th) ** n
 
     nodes = np.concatenate(([0.0], eta))
-    vals = np.empty(k + 1)
-    vals[0] = (-1.0) ** (k + 1) * a
-    for t in range(k - 1):
-        prod = 1.0
-        for u in range(k - 1):
-            if u != t:
-                prod *= (eta[k - 1] - eta[u]) / (eta[t] - eta[u])
-        vals[1 + t] = prod / y[t]
-    vals[k] = -1.0 / y[k - 1]
+    # vals[1 + t] is the product over u != t, u < k - 1, of
+    # (eta[k-1] - eta[u]) / (eta[t] - eta[u]), divided by y[t].
+    gaps = eta[:-1, None] - eta[:-1]
+    np.fill_diagonal(gaps, eta[-1] - eta[:-1])
+    head = ((eta[-1] - eta[:-1]) / gaps).prod(axis=1) / y[:-1]
+    vals = np.concatenate(([(-1.0) ** (k + 1) * a], head, [-1.0 / y[-1]]))
     if not np.all(np.isfinite(vals)):
         raise RootBracketingFailed("interpolation values are not finite")
     gaps = nodes[:, None] - nodes[None, :]
@@ -221,47 +216,32 @@ def bernoulli_nonidentifiable_witness(G, a):
     bary = 1.0 / gaps.prod(axis=1)
 
     def poly(x):
-        d = x - nodes
-        if np.any(d == 0):
-            return float(vals[d == 0][0])
-        c = bary / d
-        return float(c @ vals / c.sum())
+        d = x[:, None] - nodes
+        at_node = d == 0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            c = bary / d
+            inner = (c * vals).sum(axis=1) / c.sum(axis=1)
+        return np.where(at_node.any(axis=1), vals[at_node.argmax(axis=1)], inner)
 
-    roots = np.empty(k)
-    lows = nodes[:-1]
-    highs = nodes[1:]
-    for i in range(k):
-        glo, ghi = vals[i], vals[i + 1]
-        if not (np.isfinite(glo) and np.isfinite(ghi)) or glo * ghi >= 0:
-            raise RootBracketingFailed(
-                f"no sign change over ({lows[i]!r}, {highs[i]!r})"
-            )
-        try:
-            roots[i] = brentq(
-                poly,
-                lows[i],
-                highs[i],
-                xtol=ROOT_XTOL,
-                maxiter=200,
-            )
-        except ValueError as exc:
-            raise RootBracketingFailed(str(exc)) from exc
-        if not lows[i] < roots[i] < highs[i]:
-            raise RootBracketingFailed("root escaped its bracketing interval")
+    lows, highs = nodes[:-1], nodes[1:]
+    narrow = highs - lows <= ROOT_XTOL
+    flat = np.flatnonzero(narrow | (np.sign(vals[:-1]) * np.sign(vals[1:]) >= 0))
+    if flat.size:
+        lo, hi = lows[flat[0]], highs[flat[0]]
+        raise RootBracketingFailed(f"no resolvable sign change over ({lo}, {hi})")
+    roots = bracketed_roots(poly, lows, highs, ROOT_XTOL, maxiter=200)
+    if not np.all((lows < roots) & (roots < highs)):
+        raise RootBracketingFailed("root escaped its bracketing interval")
 
     full = np.concatenate([roots, eta])
     if np.unique(full).size != full.size:
         raise RootBracketingFailed("roots collide with existing odds")
-    y_top = y[k - 1]
-    eta_top = eta[k - 1]
-    y_new = np.empty(k)
-    for i in range(k):
-        prod = 1.0
-        for m in range(2 * k - 1):
-            if m == i:
-                continue
-            prod *= (eta_top - full[m]) / (roots[i] - full[m])
-        y_new[i] = -y_top * prod
+    # y_new[i] is -y[k-1] times the product over m != i, m < 2k - 1, of
+    # (eta[k-1] - full[m]) / (roots[i] - full[m]); full[i] is roots[i].
+    others = full[:-1]
+    gaps = roots[:, None] - others
+    np.fill_diagonal(gaps, eta[-1] - roots)
+    y_new = -y[-1] * ((eta[-1] - others) / gaps).prod(axis=1)
     if not np.all(np.isfinite(y_new)) or np.any(y_new >= 0):
         raise RootBracketingFailed("nullspace masses have the wrong sign")
 
@@ -269,19 +249,11 @@ def bernoulli_nonidentifiable_witness(G, a):
     p_new = -y_new * (1 + roots) ** n
     total = p_new.sum()
     if not abs(total - 1.0) <= WITNESS_WEIGHT_SUM_TOL:
-        raise RootBracketingFailed(
-            f"witness masses sum to {total!r}, not 1"
-        )
+        raise RootBracketingFailed(f"witness masses sum to {total!r}, not 1")
     p_new = p_new / total
     witness = MixingMeasure(th_new[:, None], p_new)
-    mismatch = float(
-        np.max(
-            np.abs(
-                _binary_moment_vector(th_new, p_new, n)
-                - _binary_moment_vector(th, p, n)
-            )
-        )
-    )
+    moments = _binary_moment_vector(th_new, p_new, n) - _binary_moment_vector(th, p, n)
+    mismatch = float(np.max(np.abs(moments)))
     tv = estimate_divergence(G, witness, BernoulliKernel(), n, "tv").value
     return NonIdentWitness(
         original=G,
@@ -362,18 +334,16 @@ def first_order_gram(kernel, atoms, grid_spec="auto"):
             return value
         previous = value
         panels *= 2
-    raise QuadratureNonConvergence(
-        "Gram eigenvalue did not stabilize under panel doubling"
-    )
+    message = "Gram eigenvalue did not stabilize under panel doubling"
+    raise QuadratureNonConvergence(message)
 
 
 def parse_direction(kernel, k, direction):
     flat = np.atleast_1d(np.asarray(direction, dtype=float))
     expected = k * (kernel.q + 1)
     if flat.shape != (expected,) or not np.all(np.isfinite(flat)):
-        raise InvalidParameter(
-            f"direction must be a finite vector of length {expected}"
-        )
+        message = f"direction must be a finite vector of length {expected}"
+        raise InvalidParameter(message)
     a = flat[: k * kernel.q].reshape(k, kernel.q)
     b = flat[k * kernel.q :]
     if np.linalg.norm(flat) == 0:
@@ -407,7 +377,5 @@ def degenerate_direction_check(kernel, G0, direction, grid="auto"):
     grads = kernel.grad_density(points, atoms)
     residual = b @ dens + np.einsum("iq,iqn->n", a, grads)
     density_scale = float(dens.sum(axis=0).max())
-    direction_scale = float(
-        (np.linalg.norm(a, axis=1) + np.abs(b)).sum()
-    )
+    direction_scale = float((np.linalg.norm(a, axis=1) + np.abs(b)).sum())
     return float(np.abs(residual).max() / (density_scale * direction_scale))

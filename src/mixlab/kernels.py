@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.optimize import brentq
 from scipy.special import (
     betaln,
     digamma,
@@ -28,6 +27,7 @@ from .errors import (
     MidpointOutsideDomain,
     NonDifferentiablePoint,
     QuadratureNonConvergence,
+    RootBracketingFailed,
     check_integer,
     check_real,
 )
@@ -41,6 +41,8 @@ PANEL_ULPS = 64
 PANEL_LEVELS = 1100
 PANEL_OPEN_MAX = 4096
 CROSSING_SCAN = 128
+CROSSING_XTOL = 2e-12
+ROOT_RTOL = 4 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -386,10 +388,7 @@ class GammaKernel(KernelFamily):
         return float(alpha / beta)
 
     def _tail_bounds(self, eps, alpha, beta):
-        return (
-            float(gammaincinv(alpha, eps)) / beta,
-            float(gammaincinv(alpha, 1.0 - eps)) / beta,
-        )
+        return tuple(float(gammaincinv(alpha, p)) / beta for p in (eps, 1.0 - eps))
 
     def _grad_density(self, x, alpha, beta):
         f = np.exp(self._log_density(x, alpha, beta))
@@ -406,13 +405,8 @@ class GammaKernel(KernelFamily):
         a1, b1 = theta1
         a2, b2 = theta2
         if which == "kl":
-            return float(
-                (a1 - a2) * digamma(a1)
-                - gammaln(a1)
-                + gammaln(a2)
-                + a2 * (math.log(b1) - math.log(b2))
-                + a1 * (b2 - b1) / b1
-            )
+            kl = (a1 - a2) * digamma(a1) - gammaln(a1) + gammaln(a2)
+            return float(kl + a2 * (math.log(b1) - math.log(b2)) + a1 * (b2 - b1) / b1)
         if which == "hellinger":
             return hellinger_expfam(self.expfam, theta1, theta2)
         return None
@@ -489,26 +483,14 @@ class LocScaleExponentialKernel(KernelFamily):
         return [f / sigma, f * ((x - xi) / sigma**2 - 1.0 / sigma)]
 
 
-def _double_factorial_odd(n):
-    """(n)!! for odd n >= -1, with (-1)!! = 1."""
-    out = 1
-    while n > 1:
-        out *= n
-        n -= 2
-    return out
-
-
 def _gaussian_raw_moment(mu, sigma, j):
-    """E (sigma Z + mu)^j for standard normal Z."""
-    total = 0.0
-    for ell in range(0, j + 1, 2):
-        total += (
-            math.comb(j, ell)
-            * _double_factorial_odd(ell - 1)
-            * sigma**ell
-            * mu ** (j - ell)
-        )
-    return total
+    """E (sigma Z + mu)^j for standard normal Z: E Z^ell is (ell - 1)!! for
+    even ell."""
+    return sum(
+        math.comb(j, ell) * math.prod(range(ell - 1, 0, -2)) * sigma**ell
+        * mu ** (j - ell)
+        for ell in range(0, j + 1, 2)
+    )
 
 
 class GaussianLocationMixtureKernel(KernelFamily):
@@ -559,22 +541,14 @@ class GaussianLocationMixtureKernel(KernelFamily):
     def _tail_bounds(self, eps, *theta):
         _, mus = self.split(theta)
         z = -norm_ppf(eps)
-        return (
-            float(mus.min()) - z * self.sigma,
-            float(mus.max()) + z * self.sigma,
-        )
+        return (float(mus.min()) - z * self.sigma, float(mus.max()) + z * self.sigma)
 
     def moment_lambda(self, theta):
         pis, mus = self.split(theta)
-        return np.array(
-            [
-                sum(
-                    pis[i] * _gaussian_raw_moment(mus[i], self.sigma, j)
-                    for i in range(self.k)
-                )
-                for j in range(1, 2 * self.k)
-            ]
-        )
+        return np.array([
+            sum(p * _gaussian_raw_moment(m, self.sigma, j) for p, m in zip(pis, mus))
+            for j in range(1, 2 * self.k)
+        ])
 
     def moment_jacobian(self, theta):
         pis, mus = self.split(theta)
@@ -595,10 +569,8 @@ class GaussianLocationMixtureKernel(KernelFamily):
         pis, mus = self.split(theta)
         k = self.k
         sign = (-1.0) ** (k + 1) * (-1.0) ** (k * (k - 1) // 2)
-        gaps = 1.0
-        for a in range(k):
-            for b in range(a + 1, k):
-                gaps *= (mus[a] - mus[b]) ** 4
+        pairs = ((a, b) for a in range(k) for b in range(a + 1, k))
+        gaps = math.prod((mus[a] - mus[b]) ** 4 for a, b in pairs)
         return sign * float(np.prod(pis)) * gaps
 
 
@@ -673,21 +645,9 @@ class BetaPushforwardKernel(KernelFamily):
     def moment_det_closed(self, theta):
         pi1, a1, a2 = theta
         xi = self.xi
-        num = (
-            6.0
-            * (xi - 1.0) ** 3
-            * xi**3
-            * (2 * xi - 1.0)
-            * (3 * xi - 1.0)
-            * (3 * xi - 2.0)
-            * pi1
-            * (1.0 - pi1)
-            * (a1 - a2) ** 4
-        )
-        den = 1.0
-        for aa in (a1, a2):
-            den *= ((1 + aa) * (2 + aa) * (3 + aa)) ** 2
-        return num / den
+        num = 6.0 * (xi - 1.0) ** 3 * xi**3 * (2 * xi - 1.0) * (3 * xi - 1.0)
+        num = num * (3 * xi - 2.0) * pi1 * (1.0 - pi1) * (a1 - a2) ** 4
+        return num / math.prod(((1 + aa) * (2 + aa) * (3 + aa)) ** 2 for aa in (a1, a2))
 
 
 def hellinger_expfam(spec, theta1, theta2):
@@ -773,13 +733,66 @@ def integrate_panels(fun, boundaries):
     raise QuadratureNonConvergence(f"no convergence in {PANEL_LEVELS} passes")
 
 
+def bracketed_roots(f, lo, hi, xtol, maxiter=100):
+    """A root of the vectorised f in each bracket (lo[i], hi[i]) over which
+    f changes sign, by Chandrupatla's (1997) hybrid of inverse quadratic
+    interpolation and bisection, run on all brackets at once. Steps stay
+    half the tolerance inside the bracket, which closes once narrower than
+    xtol + ROOT_RTOL * |x|, brentq's rule. The root is then the secant
+    point of its ends, or an end where f is zero, so such an end comes back
+    exactly. For an elementwise f, brackets solved together or alone give
+    the same bits. RootBracketingFailed without a sign change,
+    ConvergenceError after maxiter steps."""
+    x1, x2 = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    if x1.size == 0:
+        return x1
+    f1, f2 = np.split(f(np.concatenate([x1, x2])), 2)
+    if not np.all(np.sign(f1) * np.sign(f2) <= 0):
+        raise RootBracketingFailed("no sign change over a bracket")
+    # x1 is the newest point, x2 the end across the sign change from it and
+    # x3 the point they replaced; x3 = x2 makes the first step a bisection.
+    x3, f3 = x2, f2
+    roots, active = np.empty_like(x1), np.arange(x1.size)
+    for step in range(maxiter + 1):
+        nearer = np.abs(f1) < np.abs(f2)
+        best, zero = np.where(nearer, x1, x2), np.where(nearer, f1, f2) == 0
+        d, f12 = x2 - x1, f1 - f2
+        tol, width = xtol + ROOT_RTOL * np.abs(best), np.abs(d)
+        done = zero | (width < tol)
+        if np.count_nonzero(done):
+            with np.errstate(invalid="ignore"):
+                secant = x1 + f1 / f12 * d
+            roots[active[done]] = np.where(zero, best, secant)[done]
+            if np.count_nonzero(done) == done.size:
+                return roots
+            live = ~done
+            active, x1, x2, x3, f1, f2, f3, tol, width, d, f12 = (
+                v[live] for v in (active, x1, x2, x3, f1, f2, f3, tol, width, d, f12)
+            )
+        if step == maxiter:
+            raise ConvergenceError(f"{x1.size} roots unresolved after {maxiter} steps")
+        with np.errstate(divide="ignore", invalid="ignore"):
+            f32 = f3 - f2
+            xi, phi = -d / (x3 - x2), f12 / f32
+            quadratic = (1 - np.sqrt(1 - xi) < phi) & (phi < np.sqrt(xi))
+            t = f1 / f12 * f3 / f32 + (x3 - x1) / d * f1 / (f3 - f1) * f2 / f32
+        margin = 0.5 * tol / width
+        t = np.minimum(np.maximum(np.where(quadratic, t, 0.5), margin), 1 - margin)
+        x = x1 + t * d
+        fx = f(x)
+        same = np.sign(fx) == np.sign(f1)
+        x3, f3 = np.where(same, x1, x2), np.where(same, f1, f2)
+        x2, f2 = np.where(same, x2, x1), np.where(same, f2, f1)
+        x1, f1 = x, fx
+
+
 def mixture_divergence(kernel, atoms, weights, atoms2, weights2, which):
     """TV, Hellinger distance or KL between the kernel mixtures (atoms,
     weights) and (atoms2, weights2), and the number of integrand nodes: a
     sum over kernel.points for discrete kernels, else integrate_panels over
     the union of the TAIL_EPS tail bounds, cut at finite support ends and,
     for TV, where the two densities cross (a sign scan of CROSSING_SCAN
-    interior points per segment, refined by brentq)."""
+    interior points per segment, refined together by bracketed_roots)."""
     both = np.concatenate([atoms, atoms2])
     log_w = np.log(np.concatenate([weights, weights2]))
     k = len(atoms)
@@ -810,11 +823,13 @@ def mixture_divergence(kernel, atoms, weights, atoms2, weights2, which):
             a, b = np.array(bounds[:-1]), np.array(bounds[1:])
             t = np.arange(1, CROSSING_SCAN + 1) / (CROSSING_SCAN + 1)
             xs = a[:, None] + (b - a)[:, None] * t
-            for row, signs in zip(xs, np.sign(diff(xs))):
-                nz = np.flatnonzero(signs)
-                for i, j in zip(nz[:-1], nz[1:]):
-                    if signs[i] != signs[j]:
-                        bounds.append(brentq(diff, row[i], row[j]))
+            # A crossing lies between neighbouring nonzero signs of a row.
+            signs = np.sign(diff(xs))
+            rows, cols = np.nonzero(signs)
+            ends, nonzero = xs[rows, cols], signs[rows, cols]
+            cross = (rows[:-1] == rows[1:]) & (nonzero[:-1] != nonzero[1:])
+            lo, hi = ends[:-1][cross], ends[1:][cross]
+            bounds += bracketed_roots(diff, lo, hi, CROSSING_XTOL).tolist()
             bounds.sort()
         value, nodes = integrate_panels(integrand, bounds)
     value = max(value, 0.0)

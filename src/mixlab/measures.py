@@ -1,9 +1,9 @@
 """Discrete mixing measures and the distances between them.
 
 A mixing measure is a finite collection of weighted atoms in R^q. All
-distances that match atoms across two measures minimize over permutations;
-the minimization is solved exactly with a linear assignment solver, and the
-optimal-transport distance with an exact transportation simplex.
+distances that match atoms across two measures minimize over permutations,
+exactly, with least_matchings; the optimal-transport distance is solved by
+an exact transportation simplex.
 """
 
 import itertools
@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import (
     InvalidMeasure,
@@ -83,6 +82,48 @@ def permutation_table(k):
     return table
 
 
+@lru_cache(maxsize=None)
+def _permutation_cells(k):
+    """Flat indices into a k x k matrix as a read-only (k, k!) array: entry
+    [i, p] is row i's cell under permutation p of permutation_table(k)."""
+    cells = np.arange(k)[:, None] * k + permutation_table(k).T
+    cells.flags.writeable = False
+    return cells
+
+
+def permutation_totals(cost, reduce=np.add):
+    """Every matching's total of (..., k, k) costs, k <= PERMUTATION_MAX: an
+    (..., k!) array whose entry p reduces cost[..., i, table[p, i]] over the
+    rows i in order, table = permutation_table(k), with the binary ufunc
+    reduce."""
+    k = cost.shape[-1]
+    flat = cost.reshape(cost.shape[:-2] + (k * k,))
+    cells = flat.take(_permutation_cells(k), axis=-1)
+    total = cells[..., 0, :]
+    for i in range(1, k):
+        total = reduce(total, cells[..., i, :])
+    return total
+
+
+def least_matchings(cost):
+    """The least total over matchings of each (..., k, k) cost and a
+    permutation attaining it: values (...) and perms (..., k), row i matched
+    to column perms[..., i]. Up to PERMUTATION_MAX the permutation scan
+    picks the lexicographically first optimum. Above it the transportation
+    simplex runs at unit supplies, where flows stay 0 or 1 and so form a
+    permutation, in about 0.3 / 0.9 / 2.5 / 13 ms at k = 8 / 12 / 20 / 40."""
+    k = cost.shape[-1]
+    if k <= PERMUTATION_MAX:
+        totals = permutation_totals(cost)
+        return totals.min(axis=-1), permutation_table(k)[totals.argmin(axis=-1)]
+    ones = np.ones(k)
+    perms = np.empty(cost.shape[:-1], dtype=np.intp)
+    for index in np.ndindex(cost.shape[:-2]):
+        perms[index] = _transport_plan(cost[index], ones, ones).argmax(axis=1)
+    values = np.take_along_axis(cost, perms[..., None], axis=-1)[..., 0].sum(axis=-1)
+    return values, perms
+
+
 def canonical_order(atoms):
     """Indices that sort atoms of shape (..., k, q) lexicographically by
     coordinates along the k axis."""
@@ -90,9 +131,10 @@ def canonical_order(atoms):
     return np.lexsort(keys, axis=-1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MixingMeasure:
-    """k weighted atoms in R^q with strictly positive weights summing to 1."""
+    """k weighted atoms in R^q with strictly positive weights summing to 1.
+    Measures compare by identity, as arrays have no single truth value."""
 
     atoms: np.ndarray
     weights: np.ndarray
@@ -185,14 +227,17 @@ def _weight_diff_matrix(G, G2):
     return np.abs(G.weights[:, None] - G2.weights[None, :])
 
 
-def _assignment_min(cost):
-    """Least matching total of a nonnegative cost matrix, and the matched
-    columns. A cost whose sum overflows is refused: every total is below it.
-    Callers build the cost with overflow warnings off."""
+def _finite_cost(cost):
+    """A nonnegative matching cost, refused when its sum overflows: every
+    matching total is below it. Callers build it with overflow warnings off."""
     if not np.isfinite(cost.sum()):
         raise InvalidParameter("the matching cost overflows")
-    rows, cols = linear_sum_assignment(cost)
-    return float(cost[rows, cols].sum()), cols
+    return cost
+
+
+def _assignment_min(cost):
+    """Least matching total of a nonnegative cost matrix that does not overflow."""
+    return float(least_matchings(_finite_cost(cost))[0])
 
 
 @np.errstate(over="ignore")
@@ -202,8 +247,7 @@ def distance_DN(G, G2, N):
     _check_same_k(G, G2)
     root_n = np.sqrt(check_real("N", N, 0, strict=True))
     cost = root_n * _atom_dist_matrix(G, G2) + _weight_diff_matrix(G, G2)
-    value, _ = _assignment_min(cost)
-    return value
+    return _assignment_min(cost)
 
 
 @np.errstate(over="ignore")
@@ -213,17 +257,15 @@ def distance_Dr1r2(G, G2, r1, r2):
     r1 = check_real("r1", r1, 1)
     r2 = check_real("r2", r2, 1)
     cost = _atom_dist_matrix(G, G2) ** r1 + _weight_diff_matrix(G, G2) ** r2
-    value, _ = _assignment_min(cost)
-    return value
+    return _assignment_min(cost)
 
 
 @np.errstate(over="ignore")
 def atom_and_weight_distances(G, G2):
     """Independently matched atom-only and weight-only distances."""
     _check_same_k(G, G2)
-    d_theta, _ = _assignment_min(_atom_dist_matrix(G, G2))
-    d_p, _ = _assignment_min(_weight_diff_matrix(G, G2))
-    return d_theta, d_p
+    d_theta = _assignment_min(_atom_dist_matrix(G, G2))
+    return d_theta, _assignment_min(_weight_diff_matrix(G, G2))
 
 
 def _transport_plan(cost, supply, demand):
@@ -345,27 +387,23 @@ def wasserstein(G, G2, p=1.0):
 def optimal_matching(G, G0):
     """Best matching of G's atoms to G0's under the N=1 metric.
 
-    unique=True either by the half-gap certificate (cost < rho(G0)/2, which
-    also makes the matching optimal for every sequence length) or by an
-    exhaustive tie scan (k <= PERMUTATION_MAX). Ties return the
-    lexicographically smallest optimal permutation with unique=False.
+    Up to PERMUTATION_MAX atoms every permutation is scanned: the result is
+    the lexicographically smallest permutation within TIE_TOL of the least
+    total, unique=True when no other one is. Above it unique=True only by
+    the half-gap certificate (cost < rho(G0)/2, which also makes the
+    matching optimal for every sequence length).
     """
     _check_same_k(G, G0)
-    cost = _atom_dist_matrix(G0, G) + _weight_diff_matrix(G0, G)
-    value, perm = _assignment_min(cost)
-    perm = tuple(int(i) for i in perm)
-    k = G.k
-    if k == 1:
-        return MatchingResult((0,), value, True)
-    if value < G0.rho / 2.0 - TIE_TOL:
-        return MatchingResult(perm, value, True)
-    if k <= PERMUTATION_MAX:
-        table = permutation_table(k)
-        totals = cost[np.arange(k), table].sum(axis=1)
-        ties = np.flatnonzero(np.abs(totals - value) <= TIE_TOL)
-        best = tuple(int(i) for i in table[ties[0]])
-        return MatchingResult(best, value, ties.size == 1)
-    return MatchingResult(perm, value, False)
+    cost = _finite_cost(_atom_dist_matrix(G0, G) + _weight_diff_matrix(G0, G))
+    if G.k > PERMUTATION_MAX:
+        value, perm = least_matchings(cost)
+        unique = value < G0.rho / 2.0 - TIE_TOL
+    else:
+        totals = permutation_totals(cost)
+        value = totals.min()
+        ties = np.flatnonzero(totals - value <= TIE_TOL)
+        perm, unique = permutation_table(G.k)[ties[0]], ties.size == 1
+    return MatchingResult(tuple(perm.tolist()), float(value), bool(unique))
 
 
 def canonicalize(G):

@@ -28,9 +28,8 @@ from .measures import (
     PERMUTATION_MAX,
     MixingMeasure,
     canonical_order,
-    distance_DN,
-    optimal_matching,
-    permutation_table,
+    least_matchings,
+    permutation_totals,
     valid_measures,
 )
 from .products import ExchangeableDataset, sample_dataset
@@ -58,6 +57,8 @@ LOG_FLOOR = 1e-300
 # 30-50 ns.
 PROPOSAL_BLOCK = 8
 BLOCK_OVERHEAD_CELLS = 2000
+# The error summary takes at most this many array entries per block of draws.
+MATCHING_BLOCK_ENTRIES = 2**22
 
 
 @dataclass(frozen=True)
@@ -146,10 +147,11 @@ class MCMCConfig:
         return int(self.steps * self.burn_fraction)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Chain:
     """Stored post-burn-in draws with sampler diagnostics. The T draws are
-    the rows of read-only (T, k, q) atoms and (T, k) weights."""
+    the rows of read-only (T, k, q) atoms and (T, k) weights. Chains
+    compare by identity, as measures do."""
 
     atoms: np.ndarray
     weights: np.ndarray
@@ -438,41 +440,37 @@ def _matched_errors(chain, G0, N):
     The mixed metric minimizes over matchings on its own; the atom and
     weight errors are the two components of the single best matching of
     each draw to the truth, so one matching explains all three numbers.
-    Support sizes up to PERMUTATION_MAX scan every permutation, one
-    vectorized pass over the draws per permutation; the result equals the
-    assignment-solver distances up to rounding.
+    Draws go in blocks of at most MATCHING_BLOCK_ENTRIES array entries. Up
+    to PERMUTATION_MAX every permutation's atom and weight totals are summed
+    apart, as the distances are; above it least_matchings solves each draw.
     """
     k = G0.k
     atoms, weights = chain.atoms, chain.weights
     n = len(atoms)
-    if k <= PERMUTATION_MAX:
-        root_n = math.sqrt(float(N))
-        d_mix = np.full(n, np.inf)
-        best = np.full(n, np.inf)
-        d_atom = np.empty(n)
-        d_weight = np.empty(n)
-        for perm in permutation_table(k):
-            diff = atoms[:, perm, :] - G0.atoms[None, :, :]
-            atom_cost = np.sqrt((diff**2).sum(axis=2)).sum(axis=1)
-            weight_cost = np.abs(
-                weights[:, perm] - G0.weights[None, :]
-            ).sum(axis=1)
-            np.minimum(d_mix, root_n * atom_cost + weight_cost, out=d_mix)
-            total = atom_cost + weight_cost
-            better = total < best
-            best[better] = total[better]
-            d_atom[better] = atom_cost[better]
-            d_weight[better] = weight_cost[better]
-        return d_mix, d_atom, d_weight
-
-    d_mix = np.empty(n)
-    d_atom = np.empty(n)
-    d_weight = np.empty(n)
-    for i, G in enumerate(chain.draws):
-        d_mix[i] = distance_DN(G, G0, N)
-        perm = list(optimal_matching(G, G0).permutation)
-        d_atom[i] = np.linalg.norm(G.atoms[perm] - G0.atoms, axis=1).sum()
-        d_weight[i] = np.abs(G.weights[perm] - G0.weights).sum()
+    root_n = math.sqrt(float(N))
+    d_mix, d_atom, d_weight = np.empty(n), np.empty(n), np.empty(n)
+    # Per draw: k * k * q differences, and k * k! gathered costs up to PERMUTATION_MAX.
+    per_draw = k * max(k * G0.q, math.factorial(min(k, PERMUTATION_MAX)))
+    rows = max(1, MATCHING_BLOCK_ENTRIES // per_draw)
+    for lo in range(0, n, rows):
+        block = slice(lo, lo + rows)
+        # [t, i, j] pairs the truth's atom i with atom j of draw t.
+        dist = np.stack(
+            [np.sqrt(((a - atoms[block]) ** 2).sum(axis=-1)) for a in G0.atoms], axis=1
+        )
+        gap = np.stack([np.abs(w - weights[block]) for w in G0.weights], axis=1)
+        if k <= PERMUTATION_MAX:
+            atom_total, weight_total = permutation_totals(dist), permutation_totals(gap)
+            d_mix[block] = (root_n * atom_total + weight_total).min(axis=-1)
+            best = (atom_total + weight_total).argmin(axis=-1)[:, None]
+            d_atom[block] = np.take_along_axis(atom_total, best, axis=-1)[:, 0]
+            d_weight[block] = np.take_along_axis(weight_total, best, axis=-1)[:, 0]
+        else:
+            # Rows are the draw's atoms here, as in distance_DN.
+            d_mix[block] = least_matchings((root_n * dist + gap).swapaxes(1, 2))[0]
+            perm = least_matchings(dist + gap)[1][:, :, None]
+            d_atom[block] = np.take_along_axis(dist, perm, axis=2)[..., 0].sum(axis=1)
+            d_weight[block] = np.take_along_axis(gap, perm, axis=2)[..., 0].sum(axis=1)
     return d_mix, d_atom, d_weight
 
 

@@ -106,19 +106,7 @@ class ProbeReport:
 
     def row_records(self):
         """Rows as flat dicts, one per cell, for tabular emission."""
-        return [
-            {
-                "probe": self.name,
-                "series": row.series,
-                "index": row.index,
-                "numerator": row.numerator,
-                "numerator_stderr": row.numerator_stderr,
-                "denominator": row.denominator,
-                "ratio": row.ratio,
-                "method": row.method,
-            }
-            for row in self.rows
-        ]
+        return [{"probe": self.name, **vars(row)} for row in self.rows]
 
     def verdict_envelope(self):
         """JSON-serializable summary of parameters and verdicts."""

@@ -27,7 +27,7 @@ from .kernels import (
     mixture_divergence,
     segment_boundaries,
 )
-from .measures import PERMUTATION_MAX, permutation_table
+from .measures import PERMUTATION_MAX, permutation_totals
 from .rng import CHUNK, chunk_sizes, chunk_stream
 
 MC_DEFAULT_BUDGET = 10**6
@@ -164,9 +164,7 @@ class DivergenceEstimate:
         if self.method != "monte-carlo" and self.stderr != 0.0:
             raise InvalidParameter("exact methods must report zero stderr")
         if not -1e-12 <= self.value <= 1.0 + 1e-12:
-            raise InvalidParameter(
-                f"TV/Hellinger value {self.value} outside [0, 1]"
-            )
+            raise InvalidParameter(f"TV/Hellinger value {self.value} outside [0, 1]")
 
 
 def sample_dataset(G, kernel, lengths, rng, seed=None):
@@ -180,17 +178,11 @@ def sample_dataset(G, kernel, lengths, rng, seed=None):
 
 
 def _pairwise_divergence(kernel, G, G2, which):
-    k = G.k
-    out = np.empty((k, k))
-    for i in range(k):
-        for j in range(k):
-            closed = kernel.closed_divergence(which, G.atoms[i], G2.atoms[j])
-            if closed is None:
-                closed = divergence_numeric(
-                    kernel, G.atoms[i], G2.atoms[j], which
-                )
-            out[i, j] = closed
-    return out
+    def pair(a, b):
+        closed = kernel.closed_divergence(which, a, b)
+        return divergence_numeric(kernel, a, b, which) if closed is None else closed
+
+    return np.array([[pair(a, b) for b in G2.atoms] for a in G.atoms], dtype=float)
 
 
 def _check_upper_bound_inputs(G, G2, N):
@@ -207,9 +199,9 @@ def _min_over_matchings(G, G2, pair, scale, weight_term):
     """min over atom matchings of scale * (largest matched pairwise value)
     + weight_term(total weight discrepancy of the matching); weight_term
     takes the array of discrepancies, one per matching."""
-    table = permutation_table(G.k)
-    atom_term = scale * pair[table, np.arange(G.k)].max(axis=1)
-    gap = np.abs(G.weights[table] - G2.weights).sum(axis=1)
+    # Row i of each matrix is G2's atom i, column j is G's atom j.
+    atom_term = scale * permutation_totals(pair.T, np.maximum)
+    gap = permutation_totals(np.abs(G.weights[None, :] - G2.weights[:, None]))
     return float((atom_term + weight_term(gap)).min())
 
 

@@ -1,7 +1,10 @@
 """Static checks on the package source that need only the standard library."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -70,6 +73,35 @@ def test_no_second_transport_solver(path):
         isinstance(node, ast.Attribute) and node.attr == "linprog"
         for node in ast.walk(tree)
     )
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_no_module_reaches_scipy_optimize(path):
+    """Matching and root finding have their own solvers in measures.py and
+    kernels.py; nothing loads scipy.optimize."""
+    names = imported_names(path)
+    assert [name for name in names if name.startswith("scipy.optimize")] == []
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert not any(
+        isinstance(node, ast.Attribute) and ast.unparse(node) == "scipy.optimize"
+        for node in ast.walk(tree)
+    )
+
+
+def test_cli_import_leaves_scipy_optimize_and_linalg_unloaded():
+    code = (
+        "import sys, mixlab.cli; "
+        "print(sorted(m for m in sys.modules "
+        "if m.split('.')[:2] in (['scipy', 'optimize'], ['scipy', 'linalg'])))"
+    )
+    src = str(pathlib.Path(mixlab.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    run = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        check=True, timeout=120,
+    )
+    assert run.stdout.strip() == "[]"
 
 
 def function_imports(path):

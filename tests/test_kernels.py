@@ -4,6 +4,7 @@ from decimal import Decimal, localcontext
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.optimize import brentq
 from scipy.stats import beta as beta_dist
 from scipy.stats import norm
 
@@ -14,6 +15,7 @@ from mixlab.errors import (
     MidpointOutsideDomain,
     NonDifferentiablePoint,
     QuadratureNonConvergence,
+    RootBracketingFailed,
 )
 from mixlab.kernels import (
     BernoulliKernel,
@@ -23,11 +25,13 @@ from mixlab.kernels import (
     GaussianLocationMixtureKernel,
     LocScaleExponentialKernel,
     UniformKernel,
+    bracketed_roots,
     divergence_numeric,
     hellinger_expfam,
     integrate_panels,
     kernel_from_spec,
     logsumexp,
+    mixture_divergence,
     moment_map,
 )
 
@@ -561,3 +565,70 @@ class TestKernelFromSpec:
             constructor(**params)
         with pytest.raises(InvalidParameter):
             kernel_from_spec({"family": family, "params_fixed": params})
+
+
+def damped_sine(x):
+    """Roots at the multiples of pi, one in each bracket of width < pi."""
+    return np.sin(x) * np.exp(0.1 * x)
+
+
+class TestBracketedRoots:
+    @staticmethod
+    def brackets(rng, size):
+        centres = np.pi * rng.integers(-12, 13, size)
+        lo = centres - rng.uniform(0.05, 3.0, size)
+        hi = centres + rng.uniform(0.05, 3.0, size)
+        return lo, hi
+
+    @pytest.mark.parametrize("xtol", [2e-12, 1e-14])
+    def test_random_brackets_agree_with_brentq(self, rng, xtol):
+        lo, hi = self.brackets(rng, 60)
+        roots = bracketed_roots(damped_sine, lo, hi, xtol, maxiter=200)
+        rtol = 4 * np.finfo(float).eps
+        for x, a, b in zip(roots, lo, hi):
+            want = brentq(damped_sine, a, b, xtol=xtol, rtol=rtol, maxiter=200)
+            assert a < x < b
+            assert abs(x - want) <= 2 * (xtol + rtol * abs(want))
+
+    def test_brackets_solved_together_or_alone_agree_bit_for_bit(self, rng):
+        lo, hi = self.brackets(rng, 40)
+        together = bracketed_roots(damped_sine, lo, hi, 2e-12)
+        alone = [
+            bracketed_roots(damped_sine, lo[i : i + 1], hi[i : i + 1], 2e-12)[0]
+            for i in range(lo.size)
+        ]
+        assert together.tolist() == alone
+
+    def test_a_root_at_an_end_is_returned_exactly(self):
+        line = lambda x: x - 1.0  # noqa: E731
+        roots = bracketed_roots(line, [1.0, -2.0, 0.0], [3.0, 1.0, 2.0], 2e-12)
+        assert roots[0] == 1.0 and roots[1] == 1.0
+        assert abs(roots[2] - 1.0) <= 2e-12
+
+    def test_a_bracket_without_a_sign_change_is_refused(self):
+        with pytest.raises(RootBracketingFailed):
+            bracketed_roots(lambda x: x**2 + 1.0, [-1.0, 2.0], [1.0, 3.0], 2e-12)
+        with pytest.raises(RootBracketingFailed):
+            bracketed_roots(lambda x: x - 0.5, [0.0, 2.0], [1.0, 3.0], 2e-12)
+
+    def test_no_brackets_give_no_roots(self):
+        assert bracketed_roots(damped_sine, [], [], 2e-12).size == 0
+
+    def test_gaussian_tv_cell_matches_quad_split_at_the_crossings(self):
+        kernel = GaussianLocationKernel()
+        atoms, weights = np.array([[-1.0], [1.0]]), np.array([0.5, 0.5])
+        atoms2, weights2 = np.array([[-0.3], [0.4]]), np.array([0.4, 0.6])
+
+        def diff(x):
+            p = sum(w * norm.pdf(x, a) for a, w in zip(atoms[:, 0], weights))
+            q = sum(w * norm.pdf(x, a) for a, w in zip(atoms2[:, 0], weights2))
+            return p - q
+
+        crossings = [brentq(diff, -2.0, 0.0), brentq(diff, 0.5, 2.0)]
+        ends = [-np.inf, *crossings, np.inf]
+        want = sum(
+            quad(lambda x: 0.5 * abs(diff(x)), a, b, epsabs=1e-14, epsrel=1e-13)[0]
+            for a, b in zip(ends[:-1], ends[1:])
+        )
+        got, _ = mixture_divergence(kernel, atoms, weights, atoms2, weights2, "tv")
+        assert got == pytest.approx(want, abs=1e-12)

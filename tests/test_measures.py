@@ -1,8 +1,9 @@
+import itertools
 import warnings
 
 import numpy as np
 import pytest
-from scipy.optimize import linprog
+from scipy.optimize import linear_sum_assignment, linprog
 
 from mixlab.errors import InvalidMeasure, InvalidParameter, MismatchedSupportSize
 from mixlab.measures import (
@@ -12,6 +13,7 @@ from mixlab.measures import (
     canonicalize,
     distance_DN,
     distance_Dr1r2,
+    least_matchings,
     measure_fault,
     optimal_matching,
     valid_measures,
@@ -110,6 +112,13 @@ class TestMixingMeasure:
         with pytest.raises(InvalidMeasure, match="atoms and weights") as err:
             MixingMeasure.from_json(text)
         assert fault in str(err.value)
+
+    def test_measures_compare_by_identity(self):
+        G = MixingMeasure([[0.1], [0.2]], [0.5, 0.5])
+        H = MixingMeasure([[0.1], [0.2]], [0.5, 0.5])
+        assert G == G
+        assert G != H
+        assert len({G, H}) == 2
 
 
 class TestDistanceDN:
@@ -494,6 +503,52 @@ class TestOptimalMatching:
         G0 = random_measure(rng, 5, 2)
         res = optimal_matching(G, G0)
         assert res.cost == pytest.approx(distance_DN(G, G0, 1), abs=1e-12)
+
+
+def lsa_value(cost):
+    rows, cols = linear_sum_assignment(cost)
+    return cost[rows, cols].sum()
+
+
+class TestLeastMatchings:
+    @pytest.mark.parametrize("k", range(2, 8))
+    def test_scan_equals_brute_force_and_the_assignment_solver(self, rng, k):
+        for _ in range(5):
+            cost = rng.random((k, k)) * 10.0 ** rng.uniform(-3, 3, (k, k))
+            value, perm = least_matchings(cost)
+            totals = {
+                p: sum(cost[i, j] for i, j in enumerate(p))
+                for p in itertools.permutations(range(k))
+            }
+            best = min(totals, key=totals.get)
+            assert tuple(perm.tolist()) == best
+            assert value == totals[best] == lsa_value(cost)
+
+    def test_ties_give_the_lexicographically_smallest_optimum(self):
+        # (1, 0, 2) and (2, 1, 0) both cost 0.
+        cost = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
+        value, perm = least_matchings(cost)
+        assert value == 0.0
+        assert perm.tolist() == [1, 0, 2]
+
+    @pytest.mark.parametrize("k", [8, 12, 20, 40])
+    def test_simplex_above_the_scan_equals_the_assignment_solver(self, rng, k):
+        for trial in range(8):
+            cost = rng.random((k, k))
+            if trial % 2:
+                cost = np.round(cost * 8.0) / 8.0  # exact ties
+            value, perm = least_matchings(cost)
+            assert sorted(perm.tolist()) == list(range(k))
+            assert value == lsa_value(cost)
+            assert cost[np.arange(k), perm].sum() == value
+
+    @pytest.mark.parametrize("k", [3, 8])
+    def test_a_batch_equals_single_calls(self, rng, k):
+        costs = rng.random((6, k, k))
+        values, perms = least_matchings(costs)
+        singles = [least_matchings(cost) for cost in costs]
+        assert values.tolist() == [float(v) for v, _ in singles]
+        assert perms.tolist() == [p.tolist() for _, p in singles]
 
 
 class TestCanonicalize:

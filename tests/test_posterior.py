@@ -720,6 +720,14 @@ class TestMCMCRun:
             assert isinstance(G, MixingMeasure)
             assert np.array_equal(G.atoms, a) and np.array_equal(G.weights, w)
 
+    def test_chains_compare_by_identity(self):
+        atoms = np.array([[[0.2], [0.7]], [[0.3], [0.6]]])
+        weights = np.array([[0.4, 0.6], [0.5, 0.5]])
+        chain = Chain(atoms, weights, 0.5, scale_trace=((0, 0.1),), seed=0)
+        twin = Chain(atoms, weights, 0.5, scale_trace=((0, 0.1),), seed=0)
+        assert chain == chain
+        assert chain != twin
+
     def test_sampler_and_summary_build_no_per_draw_measures(self, monkeypatch):
         G0 = MixingMeasure(np.array([[0.25], [0.75]]), [0.4, 0.6])
         dataset = ExchangeableDataset([[1.0, 0.0, 1.0], [0.0, 0.0, 1.0]] * 10)
@@ -736,6 +744,22 @@ class TestMCMCRun:
         # The one measure is prior_sample's starting point.
         assert len(built) == 1
         assert len(chain.atoms) == 300
+
+    def test_summary_above_the_scan_builds_no_measures(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        G0 = MixingMeasure(np.linspace(0.05, 0.95, 8)[:, None], np.full(8, 0.125))
+        atoms = np.sort(rng.uniform(0.0, 1.0, (20, 8, 1)), axis=1)
+        chain = Chain(atoms, rng.dirichlet(np.ones(8), 20), 0.5, ((0, 0.1),), 0)
+        post_init = MixingMeasure.__post_init__
+        built = []
+
+        def counting(self):
+            built.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(MixingMeasure, "__post_init__", counting)
+        posterior_error_summary(chain, G0, 3.0)
+        assert built == []
 
 
 class TestPosteriorErrorSummary:
@@ -780,6 +804,16 @@ class TestPosteriorErrorSummary:
         assert summary["D_N"]["q50"] == pytest.approx(direct[0], abs=1e-12)
         assert summary["D_N"]["q90"] == pytest.approx(direct[1], abs=1e-12)
         assert summary["D_N"]["q95"] == pytest.approx(direct[2], abs=1e-12)
+
+    @pytest.mark.parametrize("k", [3, 8])
+    def test_summary_does_not_depend_on_the_block_size(self, monkeypatch, k):
+        rng = np.random.default_rng(29)
+        prior = PriorSpec(BERN, np.array([[0.05, 0.95]]))
+        G0 = canonicalize(prior_sample(prior, k, rng))
+        chain = chain_of([canonicalize(prior_sample(prior, k, rng)) for _ in range(30)])
+        whole = posterior_error_summary(chain, G0, 4.0)
+        monkeypatch.setattr(posterior, "MATCHING_BLOCK_ENTRIES", 1)
+        assert posterior_error_summary(chain, G0, 4.0) == whole
 
     @pytest.mark.parametrize("k", [3, 7, 8])
     def test_component_errors_come_from_one_matching(self, k):
