@@ -42,10 +42,11 @@ CHECK_PANELS = 32
 CHECK_ORDER = 16
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearSystemReport:
     """A linear system with its numeric rank, extreme singular value, and
-    an orthonormal nullspace basis (empty when full column rank)."""
+    an orthonormal nullspace basis (empty when full column rank). Reports
+    compare by identity, as measures do."""
 
     matrix: np.ndarray
     rank: int

@@ -47,24 +47,44 @@ ROOT_RTOL = 4 * np.finfo(float).eps
 
 @dataclass(frozen=True)
 class ExpFamilySpec:
-    """Vectorised exponential-family structure: stat maps points x to
-    x.shape + (d,), natural maps atoms (..., q) to (..., d), log_partition
-    and in_natural_space map (..., d) to (...), log_carrier keeps x.shape."""
+    """Vectorised exponential-family structure: stats holds the d
+    coordinates of the sufficient statistic, each keeping x.shape; natural
+    maps atoms (..., q) to (..., d), log_partition and in_natural_space map
+    (..., d) to (...), log_carrier keeps x.shape."""
 
-    stat: object
+    stats: tuple
     log_partition: object
     log_carrier: object
     natural: object
     in_natural_space: object
+
+    def stat(self, x):
+        """The statistic of points x, of shape x.shape + (d,)."""
+        return np.stack([coord(x) for coord in self.stats], axis=-1)
+
+    def summed(self, X):
+        """Summed statistic S (..., d) and summed log-carrier (...) of the
+        rows along the last axis of X, each coordinate summed on its own.
+        A row with zero density (an infinite log-carrier) gets S = 0, so
+        every eta S - n A(eta) + carrier of it is -inf, never nan."""
+        # einsum sums short rows about 3x faster than sum(axis=-1).
+        with np.errstate(divide="ignore", invalid="ignore"):
+            carrier = np.einsum("...i->...", self.log_carrier(X))
+            S = np.stack(
+                [np.einsum("...i->...", coord(X)) for coord in self.stats], axis=-1
+            )
+        S[~np.isfinite(carrier)] = 0.0
+        return S, carrier
 
     def log_density(self, x, theta):
         eta = self.natural(np.asarray(theta, dtype=float))
         return self.stat(x) @ eta - self.log_partition(eta) + self.log_carrier(x)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MomentMapReport:
-    """Moment vector, its Jacobian, and the two determinant evaluations."""
+    """Moment vector, its Jacobian, and the two determinant evaluations.
+    Reports compare by identity, as measures do."""
 
     lam: np.ndarray
     jacobian: np.ndarray
@@ -227,7 +247,7 @@ class BernoulliKernel(KernelFamily):
         self.trials = n = check_integer("trials", trials, 0)
         self.points = np.arange(n + 1, dtype=float)
         self.expfam = ExpFamilySpec(
-            stat=lambda x: np.asarray(x, dtype=float)[..., None],
+            stats=(lambda x: np.asarray(x, dtype=float),),
             log_partition=lambda eta: n * np.logaddexp(0.0, eta[..., 0]),
             log_carrier=self._log_binom,
             natural=lambda th: np.log(th) - np.log1p(-th),
@@ -296,7 +316,7 @@ class GaussianLocationKernel(KernelFamily):
         self.sigma = check_real("sigma", sigma, 0, strict=True)
         s2 = self.sigma**2
         self.expfam = ExpFamilySpec(
-            stat=lambda x: np.asarray(x, dtype=float)[..., None],
+            stats=(lambda x: np.asarray(x, dtype=float),),
             log_partition=lambda eta: 0.5 * s2 * eta[..., 0] ** 2,
             log_carrier=lambda x: -0.5 * np.square(x) / s2
             - 0.5 * math.log(2 * math.pi * s2),
@@ -354,7 +374,7 @@ class GammaKernel(KernelFamily):
         self.normalized = bool(normalized)
         if self.normalized:
             self.expfam = ExpFamilySpec(
-                stat=lambda x: np.stack([np.log(x), np.negative(x)], axis=-1),
+                stats=(np.log, np.negative),
                 log_partition=lambda eta: gammaln(eta[..., 0] + 1.0)
                 - (eta[..., 0] + 1.0) * np.log(eta[..., 1]),
                 log_carrier=lambda x: np.where(np.greater(x, 0), 0.0, -np.inf),

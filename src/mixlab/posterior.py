@@ -61,11 +61,11 @@ BLOCK_OVERHEAD_CELLS = 2000
 MATCHING_BLOCK_ENTRIES = 2**22
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PriorSpec:
     """Uniform prior: atoms independent and uniform on a compact box that
     sits inside the kernel's parameter box, weights uniform on the
-    simplex."""
+    simplex. Priors compare by identity, as measures do."""
 
     kernel: object
     box: np.ndarray

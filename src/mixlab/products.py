@@ -56,10 +56,33 @@ class ProductMixtureModel:
 
     def log_density_many(self, X):
         """Log densities of rows of X, an (n, N) array of sequences."""
+        return self.score(self.reduce(X))
+
+    def reduce(self, X):
+        """What the density of the rows of X reads: for kernels with an
+        ``expfam``, the summed statistic (n, d) and summed log-carrier (n,);
+        for the others, X itself. Models that share the kernel and N share
+        the reduction."""
         X = np.asarray(X, dtype=float)
-        with np.errstate(invalid="ignore"):
-            comp = self.kernel.log_density(X, self.measure.atoms).sum(axis=-1)
-        return logsumexp(comp + np.log(self.measure.weights)[:, None], axis=0)
+        spec = self.kernel.expfam
+        return X if spec is None else spec.summed(X)
+
+    def score(self, reduced):
+        """Log densities (n,) from ``reduce``'s output: with an ``expfam``,
+        logsumexp over atoms of log w - N A(eta) + eta S, plus the summed
+        log-carrier, at O(k) per row; otherwise the per-observation kernel
+        log densities summed over the sequence."""
+        atoms = self.measure.atoms
+        log_w = np.log(self.measure.weights)
+        spec = self.kernel.expfam
+        if spec is None:
+            with np.errstate(invalid="ignore"):
+                comp = self.kernel.log_density(reduced, atoms).sum(axis=-1)
+            return logsumexp(comp + log_w[:, None], axis=0)
+        S, carrier = reduced
+        eta = spec.natural(atoms)
+        offset = log_w - self.N * spec.log_partition(eta)
+        return logsumexp(offset[:, None] + eta @ S.T, axis=0) + carrier
 
     def sample(self, count, rng):
         """Draw sequences: one latent component per sequence."""
@@ -89,10 +112,11 @@ def _checked_sequence(values):
     return arr
 
 
-@dataclass
+@dataclass(eq=False)
 class ExchangeableDataset:
     """m sequences of per-sequence lengths; the generator seed is recorded
-    when known (None for datasets loaded from disk)."""
+    when known (None for datasets loaded from disk). Datasets compare by
+    identity, as measures do."""
 
     sequences: list
     seed: object = None
@@ -279,6 +303,10 @@ def _quadrature_estimate_n2(G, G2, kernel, which):
 
 
 def _mc_chunk(modelP, modelQ, which, size, rng):
+    """Sums of the TV or squared-Hellinger integrand and of its square over
+    one chunk of draws from the balanced mixture of P and Q. The chunk is
+    reduced once and both models score the reduction. A draw with zero
+    density under both (a gamma draw that underflowed to 0.0) scores 1.0."""
     pick = rng.random(size) < 0.5
     X = np.empty((size, modelP.N))
     for model, rows in (
@@ -287,8 +315,9 @@ def _mc_chunk(modelP, modelQ, which, size, rng):
     ):
         if rows.size:
             X[rows] = model.sample(rows.size, rng)
-    d = modelP.log_density_many(X) - modelQ.log_density_many(X)
-    with np.errstate(over="ignore"):
+    reduced = modelP.reduce(X)
+    with np.errstate(invalid="ignore", over="ignore"):
+        d = modelP.score(reduced) - modelQ.score(reduced)
         if which == "tv":
             vals = np.tanh(np.abs(d) / 2.0)
         else:

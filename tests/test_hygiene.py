@@ -310,3 +310,38 @@ def test_no_private_names_imported_across_modules(path):
         if alias.name.startswith("_")
     ]
     assert private == []
+
+
+def dataclasses_comparing_arrays(path):
+    """Names of the dataclasses of path with a field annotated np.ndarray
+    or list whose decorator leaves the generated __eq__ in place."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for deco in cls.decorator_list:
+            call = deco if isinstance(deco, ast.Call) else None
+            if ast.unparse(call.func if call else deco) != "dataclass":
+                continue
+            eq_off = call is not None and any(
+                kw.arg == "eq" and isinstance(kw.value, ast.Constant)
+                and kw.value.value is False
+                for kw in call.keywords
+            )
+            annotations = {
+                ast.unparse(node.annotation)
+                for node in cls.body
+                if isinstance(node, ast.AnnAssign)
+            }
+            if annotations & {"np.ndarray", "list"} and not eq_off:
+                found.append(f"{path.stem}.{cls.name}")
+    return found
+
+
+def test_dataclasses_with_array_fields_compare_by_identity():
+    """The generated __eq__ compares fields as a tuple, so two equal arrays
+    in it raise numpy's ambiguous-truth ValueError; such dataclasses
+    declare eq=False and compare by identity."""
+    found = [name for path in PACKAGE for name in dataclasses_comparing_arrays(path)]
+    assert found == []

@@ -118,6 +118,14 @@ class TestBernoulliFirstOrderSystem:
         norm = np.linalg.norm(report.matrix, 2)
         assert np.linalg.norm(report.matrix @ v) <= 1e-8 * norm
 
+    def test_reports_compare_by_identity(self):
+        G = bern_measure([0.3, 0.7], [0.5, 0.5])
+        report = bernoulli_first_order_system(G, 3)
+        twin = bernoulli_first_order_system(G, 3)
+        assert report == report
+        assert report != twin
+        assert len({report, twin}) == 2
+
     def test_three_atom_ranks(self):
         G = bern_measure([0.2, 0.5, 0.8], [0.3, 0.3, 0.4])
         assert bernoulli_first_order_system(G, 5).rank == 6

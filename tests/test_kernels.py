@@ -501,6 +501,14 @@ class TestMomentMaps:
             with pytest.raises(DegenerateXi):
                 moment_map(ker, [0.4, 3.0, 5.0])
 
+    def test_reports_compare_by_identity(self):
+        ker = GaussianLocationMixtureKernel(2)
+        rep = moment_map(ker, [0.3, -1.0, 1.0])
+        twin = moment_map(ker, [0.3, -1.0, 1.0])
+        assert rep == rep
+        assert rep != twin
+        assert len({rep, twin}) == 2
+
     def test_no_moment_map_for_plain_kernels(self):
         with pytest.raises(InvalidParameter):
             moment_map(BernoulliKernel(), [0.4])

@@ -197,6 +197,13 @@ class TestPriorSpec:
         assert prior.contains_atoms(np.array([[0.5]]))
         assert not prior.contains_atoms(np.array([[0.95]]))
 
+    def test_priors_compare_by_identity(self):
+        prior = PriorSpec(BERN, np.array([[0.1, 0.9]]))
+        twin = PriorSpec(BERN, np.array([[0.1, 0.9]]))
+        assert prior == prior
+        assert prior != twin
+        assert len({prior, twin}) == 2
+
     def test_box_must_sit_inside_kernel_box(self):
         with pytest.raises(InvalidParameter):
             PriorSpec(BERN, np.array([[-0.1, 0.5]]))

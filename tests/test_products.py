@@ -21,13 +21,16 @@ from mixlab.kernels import (
     BetaPushforwardKernel,
     GammaKernel,
     GaussianLocationKernel,
+    KernelFamily,
     UniformKernel,
+    logsumexp,
 )
 from mixlab.measures import MixingMeasure
 from mixlab.products import (
     DivergenceEstimate,
     ExchangeableDataset,
     ProductMixtureModel,
+    _mc_chunk,
     _mc_estimate,
     _quadrature_estimate_n2,
     d_mh,
@@ -36,6 +39,7 @@ from mixlab.products import (
     sample_dataset,
     tv_upper_bound,
 )
+from mixlab.rng import CHUNK, chunk_stream
 
 BERN = BernoulliKernel()
 GAUSS = GaussianLocationKernel(1.0)
@@ -98,6 +102,41 @@ class TestProductDensity:
         with pytest.raises(InvalidParameter):
             ProductMixtureModel(G, BERN, 0)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("family", ["gamma", "bernoulli", "gaussian"])
+    def test_summed_statistic_matches_per_observation_sum(self, family, rng):
+        """The expfam scoring equals logsumexp over atoms of log w plus the
+        summed per-observation kernel log densities; a gamma row holding an
+        exact 0 has log density -inf on both sides, without a warning."""
+        N = 5
+        if family == "gamma":
+            kernel = GammaKernel()
+            G = MixingMeasure(np.array([[2.3, 1.4], [0.8, 0.6]]), [0.3, 0.7])
+            X = rng.gamma(2.0, 1.0, size=(40, N))
+            X[3, 2] = 0.0
+        elif family == "bernoulli":
+            kernel = BERN
+            G = bern_measure([0.3, 0.7], [0.5, 0.5])
+            X = (rng.random((40, N)) < 0.5).astype(float)
+        else:
+            kernel = GAUSS
+            G = MixingMeasure(np.array([[0.4], [-1.1]]), [0.6, 0.4])
+            X = rng.normal(0.0, 1.5, size=(40, N))
+        model = ProductMixtureModel(G, kernel, N)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            per_obs = np.array(
+                [[[kernel.log_density(x, atom) for x in row] for row in X]
+                 for atom in G.atoms]
+            )
+        expected = logsumexp(
+            per_obs.sum(axis=-1) + np.log(G.weights)[:, None], axis=0
+        )
+        got = model.log_density_many(X)
+        np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0)
+        if family == "gamma":
+            assert got[3] == -np.inf
+        assert model.log_density(X[0]) == pytest.approx(expected[0], rel=1e-12)
+
 
 class TestSampleDataset:
     def test_single_component(self, rng):
@@ -154,6 +193,13 @@ class TestSampleDataset:
     def test_empty_sequence_rejected(self):
         with pytest.raises(InvalidParameter):
             ExchangeableDataset(sequences=[[]])
+
+    def test_datasets_compare_by_identity(self):
+        data = ExchangeableDataset([[1.0, 0.0, 1.0]])
+        twin = ExchangeableDataset([[1.0, 0.0, 1.0]])
+        assert data == data
+        assert data != twin
+        assert len({data, twin}) == 2
 
 
 class TestUpperBounds:
@@ -482,6 +528,94 @@ class TestSufficientReduction:
         assert counts.points.tolist() == [0.0, 1.0, 2.0, 3.0]
         assert counts.density(2.0, [0.4]) == pytest.approx(3 * 0.4**2 * 0.6, abs=1e-15)
         assert GaussianLocationKernel(2.0).sufficient_kernel(4).sigma == 1.0
+
+
+GAMMA_PAIR = (
+    MixingMeasure(np.array([[2.0, 3.0], [3.0, 3.0]]), [0.5, 0.5]),
+    MixingMeasure(np.array([[2.2, 3.0], [3.0, 3.1]]), [0.45, 0.55]),
+)
+# Shape 0.002 puts about 11% of all draws at exactly 0.0 (underflow).
+GAMMA_UNDERFLOW_PAIR = (
+    MixingMeasure(np.array([[0.002, 1.0], [0.5, 2.0]]), [0.5, 0.5]),
+    MixingMeasure(np.array([[0.003, 1.0], [0.5, 2.5]]), [0.4, 0.6]),
+)
+
+
+def reference_chunk(modelP, modelQ, which, size, rng):
+    """One Monte Carlo chunk as the per-observation path scores it: the same
+    draws in the same order (pick, then P's components, then Q's), each
+    model scored by kernel.log_density on every observation. Returns the
+    two sums and the draws."""
+    pick = rng.random(size) < 0.5
+    X = np.empty((size, modelP.N))
+    X[pick] = modelP.sample(int(pick.sum()), rng)
+    X[~pick] = modelQ.sample(int((~pick).sum()), rng)
+
+    def log_density(model):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            comp = model.kernel.log_density(X, model.measure.atoms).sum(axis=-1)
+        return logsumexp(comp + np.log(model.measure.weights)[:, None], axis=0)
+
+    with np.errstate(invalid="ignore", over="ignore"):
+        d = log_density(modelP) - log_density(modelQ)
+        if which == "tv":
+            vals = np.tanh(np.abs(d) / 2.0)
+        else:
+            vals = 1.0 - 1.0 / np.cosh(d / 2.0)
+    vals = np.where(np.isnan(d), 1.0, vals)
+    return float(vals.sum()), float((vals**2).sum()), X
+
+
+class TestMonteCarloChunk:
+    """Gamma Monte Carlo scores each chunk once through the summed
+    statistic, on the same draws as the per-observation path."""
+
+    @pytest.mark.parametrize("which", ["tv", "hellinger"])
+    @pytest.mark.parametrize("N", [3, 8])
+    @pytest.mark.parametrize("pair", ["plain", "underflow"])
+    def test_chunk_matches_per_observation_reference(self, pair, N, which):
+        G, G2 = GAMMA_PAIR if pair == "plain" else GAMMA_UNDERFLOW_PAIR
+        modelP = ProductMixtureModel(G, GammaKernel(), N)
+        modelQ = ProductMixtureModel(G2, GammaKernel(), N)
+        for index in range(2):
+            rng = chunk_stream(5, "reference", index)
+            s1, s2 = _mc_chunk(modelP, modelQ, which, CHUNK, rng)
+            rng = chunk_stream(5, "reference", index)
+            r1, r2, X = reference_chunk(modelP, modelQ, which, CHUNK, rng)
+            assert (pair == "underflow") == bool((X == 0.0).any())
+            assert s1 == pytest.approx(r1, rel=1e-12, abs=0)
+            assert s2 == pytest.approx(r2, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("N", [3, 8])
+    def test_gamma_estimate_is_bit_identical_across_workers(self, N):
+        G, G2 = GAMMA_PAIR
+        runs = [
+            _mc_estimate(G, G2, GammaKernel(), N, "tv", 100_000, 9, workers, "w")
+            for workers in (1, 2, 4)
+        ]
+        assert len({(run.value, run.stderr) for run in runs}) == 1
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("which", ["tv", "hellinger"])
+    def test_underflowed_draws_raise_no_warning(self, which):
+        G, G2 = GAMMA_UNDERFLOW_PAIR
+        est = _mc_estimate(G, G2, GammaKernel(), 3, which, 10**5, 3, 2, "zero")
+        assert 0.0 < est.value < 1.0
+        assert est.stderr > 0.0
+
+    def test_gamma_monte_carlo_never_calls_kernel_log_density(self, monkeypatch):
+        calls = []
+        original = KernelFamily.log_density
+
+        def counting(self, x, theta):
+            calls.append(np.shape(x))
+            return original(self, x, theta)
+
+        monkeypatch.setattr(KernelFamily, "log_density", counting)
+        G, G2 = GAMMA_PAIR
+        est = estimate_divergence(G, G2, GammaKernel(), 3, "tv", budget=10**4)
+        assert est.method == "monte-carlo"
+        assert calls == []
 
 
 class TestDmh:
