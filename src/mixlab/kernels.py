@@ -8,17 +8,11 @@ polynomial moment maps with closed-form Jacobian determinants.
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
+from statistics import NormalDist
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import (
-    betaln,
-    digamma,
-    erf,
-    gammaincinv,
-    gammaln,
-    ndtri as norm_ppf,
-)
 
 from .errors import (
     ConvergenceError,
@@ -43,6 +37,107 @@ PANEL_OPEN_MAX = 4096
 CROSSING_SCAN = 128
 CROSSING_XTOL = 2e-12
 ROOT_RTOL = 4 * np.finfo(float).eps
+# Newton steps on a gamma quantile move log x by at most 1, and end below this.
+QUANTILE_STEP_TOL = 1e-10
+QUANTILE_STEPS = 100
+
+# The standard normal quantile, by Wichura's algorithm AS241.
+norm_ppf = NormalDist().inv_cdf
+
+
+def gammaln(x):
+    """log|Gamma(x)| elementwise by math.lgamma, +inf at the poles 0, -1,
+    -2, ...; once per distinct value, since data and grids repeat values.
+    A dict dedupes: np.unique costs about 10 us even on the two-atom
+    arrays that most calls pass."""
+    flat = np.asarray(x, dtype=float).ravel().tolist()
+    memo = {v: math.lgamma(v) if v > 0 or v % 1 else math.inf for v in set(flat)}
+    return np.array([memo[v] for v in flat]).reshape(np.shape(x))
+
+
+def betaln(a, b):
+    """log|B(a, b)| from three log-gammas."""
+    return gammaln(a) + gammaln(b) - gammaln(a + b)
+
+
+def digamma(x):
+    """psi(x) for x > 0: the recurrence psi(x) = psi(x + 1) - 1/x up to
+    x >= 10, then the asymptotic series, whose first omitted term is below
+    1e-16 there."""
+    x = np.asarray(x, dtype=float)
+    steps = x[..., None] + np.arange(10.0)
+    small = steps < 10
+    out = -np.where(small, 1 / steps, 0.0).sum(axis=-1)
+    x = x + small.sum(axis=-1)
+    r = 1 / x**2
+    tail = 1 / 132 - r * (691 / 32760 - r / 12)
+    tail = r / 12 - r * r * (1 / 120 - r * (1 / 252 - r * (1 / 240 - r * tail)))
+    return out + np.log(x) - 0.5 / x - tail
+
+
+def _log_gamma_tails(a, u):
+    """log(x f(x)) for the Gamma(a, 1) density f at x = e^u, and log P(a, x)
+    and log Q(a, x) of the regularized incomplete gamma P and Q = 1 - P:
+    from the series of P below a + 1, else from Lentz's continued fraction
+    of Q (DiDonato & Morris 1986, ACM TOMS 12)."""
+    x = math.exp(u)
+    lead = a * u - x - math.lgamma(a)
+    if x < a + 1:
+        term = total = 1 / a
+        n = a
+        while term > total * 1e-17:
+            n += 1
+            term *= x / n
+            total += term
+        log_p = lead + math.log(total)
+        return lead, log_p, math.log1p(-math.exp(log_p))
+    b = x + 1 - a
+    c, d = math.inf, 1 / b
+    h, delta, i = d, 0.0, 0
+    while abs(delta - 1) > 3e-16:
+        i += 1
+        b += 2
+        d = 1 / (b + i * (a - i) * d)
+        c = b + i * (a - i) / c
+        delta = c * d
+        h *= delta
+    log_q = lead + math.log(h)
+    return lead, math.log1p(-math.exp(log_q)), log_q
+
+
+def gamma_quantile(a, p, upper=False):
+    """The x > 0 with P(a, x) = p, or with Q(a, x) = p when upper, for
+    0 < p < 1. Newton steps in log x on the log of the smaller tail, which
+    is concave in log x. They start from the larger of the Wilson-Hilferty
+    point and the root of x^a / Gamma(a + 1) = P(a, x), which lies below x
+    because P(a, x) <= x^a / Gamma(a + 1)."""
+    a = float(a)
+    if p > 0.5:
+        p, upper = 1 - p, not upper
+    target = math.log(p)
+    z = -norm_ppf(p) if upper else norm_ppf(p)
+    cube = 1 - 1 / (9 * a) + z / (3 * math.sqrt(a))
+    below = ((math.log1p(-p) if upper else target) + math.lgamma(a + 1)) / a
+    u = max(below, math.log(a * cube**3) if cube > 0 else -math.inf)
+    for _ in range(QUANTILE_STEPS):
+        lead, log_p, log_q = _log_gamma_tails(a, u)
+        if upper:
+            step = (log_q - target) * math.exp(log_q - lead)
+        else:
+            step = (target - log_p) * math.exp(log_p - lead)
+        u += min(max(step, -1.0), 1.0)
+        if abs(step) < QUANTILE_STEP_TOL:
+            return math.exp(u)
+    raise ConvergenceError(f"gamma quantile of {p!r} at shape {a!r} unresolved")
+
+
+@lru_cache(maxsize=None)
+def gauss_legendre(order):
+    """The order-point Gauss-Legendre rule on [-1, 1] as read-only nodes
+    and weights. Callers use a few fixed orders, which bounds the cache."""
+    nodes, weights = leggauss(order)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
 
 @dataclass(frozen=True)
@@ -206,7 +301,9 @@ class KernelFamily:
         return self._support(*self._atom(theta))
 
     def tail_bounds(self, theta, eps):
-        """Finite [lo, hi] capturing all but eps probability per tail."""
+        """Finite [lo, hi] capturing all but eps probability per tail, for
+        0 < eps < 1/2."""
+        eps = check_real("eps", eps, 0, 0.5, strict=True)
         return self._tail_bounds(eps, *self._atom(theta))
 
     def closed_divergence(self, which, theta1, theta2):
@@ -353,7 +450,7 @@ class GaussianLocationKernel(KernelFamily):
         d = abs(float(theta1[0]) - float(theta2[0]))
         s = self.sigma
         if which == "tv":
-            return float(erf(d / (2 * math.sqrt(2) * s)))
+            return math.erf(d / (2 * math.sqrt(2) * s))
         if which == "hellinger":
             return math.sqrt(max(-math.expm1(-(d**2) / (8 * s**2)), 0.0))
         if which == "kl":
@@ -408,7 +505,7 @@ class GammaKernel(KernelFamily):
         return float(alpha / beta)
 
     def _tail_bounds(self, eps, alpha, beta):
-        return tuple(float(gammaincinv(alpha, p)) / beta for p in (eps, 1.0 - eps))
+        return tuple(gamma_quantile(alpha, eps, up) / beta for up in (False, True))
 
     def _grad_density(self, x, alpha, beta):
         f = np.exp(self._log_density(x, alpha, beta))
@@ -706,15 +803,17 @@ def segment_boundaries(kernel, atoms, tail_eps):
 
 
 def gl_nodes(boundaries, panels_per_segment, order):
-    base_x, base_w = leggauss(order)
-    xs, ws = [], []
-    for a, b in zip(boundaries[:-1], boundaries[1:]):
-        edges = np.linspace(a, b, panels_per_segment + 1)
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            half = 0.5 * (hi - lo)
-            xs.append(0.5 * (lo + hi) + half * base_x)
-            ws.append(half * base_w)
-    return np.concatenate(xs), np.concatenate(ws)
+    """Nodes and weights of the order-point Gauss-Legendre rule on each of
+    panels_per_segment equal panels of every segment between boundaries,
+    in order; the panel edges are np.linspace's, bit for bit."""
+    base_x, base_w = gauss_legendre(order)
+    a, b = np.array(boundaries[:-1], float), np.array(boundaries[1:], float)
+    steps = np.arange(panels_per_segment + 1.0)
+    edges = steps * ((b - a) / panels_per_segment)[:, None] + a[:, None]
+    edges[:, -1] = b
+    lo, hi = edges[:, :-1].reshape(-1, 1), edges[:, 1:].reshape(-1, 1)
+    half = 0.5 * (hi - lo)
+    return (0.5 * (lo + hi) + half * base_x).ravel(), (half * base_w).ravel()
 
 
 def integrate_panels(fun, boundaries):
@@ -727,7 +826,7 @@ def integrate_panels(fun, boundaries):
     QuadratureNonConvergence past PANEL_TARGET of error left on the narrow
     panels, PANEL_LEVELS passes or PANEL_OPEN_MAX open panels."""
     lo, hi = np.array(boundaries[:-1], float), np.array(boundaries[1:], float)
-    (x8, w8), (x16, w16) = leggauss(8), leggauss(16)
+    (x8, w8), (x16, w16) = gauss_legendre(8), gauss_legendre(16)
     tol = PANEL_TOL / (hi[-1] - lo[0])
     total = unresolved = 0.0
     nodes = 0

@@ -104,6 +104,33 @@ def test_cli_import_leaves_scipy_optimize_and_linalg_unloaded():
     assert run.stdout.strip() == "[]"
 
 
+@pytest.mark.parametrize(
+    "path",
+    sorted(pathlib.Path(mixlab.__file__).parent.rglob("*.py")),
+    ids=lambda path: path.name,
+)
+def test_no_module_imports_scipy(path):
+    """mixlab's special functions, solvers and quadrature are its own;
+    scipy is a test dependency only."""
+    names = imported_names(path)
+    assert [name for name in names if name.split(".")[0] == "scipy"] == []
+
+
+def test_cli_import_loads_no_scipy_module():
+    code = (
+        "import sys, mixlab.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    src = str(pathlib.Path(mixlab.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    run = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        check=True, timeout=120,
+    )
+    assert run.stdout.strip() == "[]"
+
+
 def function_imports(path):
     """Names of the functions of path whose bodies hold an import statement."""
     tree = ast.parse(path.read_text(), filename=str(path))

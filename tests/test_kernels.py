@@ -3,6 +3,7 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
+from scipy import special
 from scipy.integrate import quad
 from scipy.optimize import brentq
 from scipy.stats import beta as beta_dist
@@ -25,14 +26,22 @@ from mixlab.kernels import (
     GaussianLocationMixtureKernel,
     LocScaleExponentialKernel,
     UniformKernel,
+    betaln,
     bracketed_roots,
+    digamma,
     divergence_numeric,
+    gamma_quantile,
+    gammaln,
+    gauss_legendre,
+    gl_nodes,
     hellinger_expfam,
     integrate_panels,
     kernel_from_spec,
     logsumexp,
     mixture_divergence,
     moment_map,
+    norm_ppf,
+    segment_boundaries,
 )
 
 
@@ -640,3 +649,111 @@ class TestBracketedRoots:
         )
         got, _ = mixture_divergence(kernel, atoms, weights, atoms2, weights2, "tv")
         assert got == pytest.approx(want, abs=1e-12)
+
+
+def assert_close(got, want, rel, floor=1.0):
+    """|got - want| <= rel * max(floor, |want|) everywhere, with the worst
+    point in the message."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    err = np.abs(got - want) / np.maximum(floor, np.abs(want))
+    worst = int(np.argmax(err))
+    assert err.flat[worst] <= rel, (want.flat[worst], got.flat[worst], err.flat[worst])
+
+
+class TestSpecialFunctions:
+    """The special functions mixlab evaluates on the standard library,
+    against scipy.special."""
+
+    def test_lgamma(self):
+        x = np.concatenate([
+            np.linspace(0.9, 2.1, 12001),
+            np.geomspace(1e-6, 1e6, 12000),
+            np.linspace(-9.75, -0.25, 3000),
+        ])
+        assert x.size == 27001
+        assert_close(gammaln(x), special.gammaln(x), 1e-14)
+        assert gammaln(x[:27000].reshape(3, -1)).shape == (3, 9000)
+        assert gammaln(np.array([0.0, -1.0, -7.0])).tolist() == [np.inf] * 3
+
+    def test_lgamma_is_exactly_zero_at_one_and_two(self):
+        assert gammaln(1.0) == 0.0 and gammaln(2) == 0.0
+        carrier = BernoulliKernel().expfam.log_carrier(np.array([0.0, 1.0, 1.0, 0.0]))
+        assert carrier.tolist() == [0.0] * 4
+
+    def test_digamma(self):
+        x = np.concatenate([np.geomspace(1e-3, 100, 20000), np.linspace(1.36, 1.56, 10001)])
+        assert_close(digamma(x), special.digamma(x), 1e-14)
+
+    def test_betaln(self):
+        a = np.geomspace(0.05, 50, 161)
+        A, B = np.meshgrid(a, a)
+        assert_close(betaln(A, B), special.betaln(A, B), 1e-13)
+
+    def test_erf_in_the_closed_gaussian_tv(self):
+        kernel = GaussianLocationKernel()
+        t = np.linspace(-6.0, 6.0, 2401)
+        # |erf| <= 1, so the default floor makes these bounds absolute.
+        assert_close([math.erf(v) for v in t], special.erf(t), 1e-15)
+        d = t[t >= 0] * 2 * math.sqrt(2)
+        tv = [kernel.closed_divergence("tv", [0.0], [v]) for v in d]
+        assert_close(tv, special.erf(t[t >= 0]), 1e-15)
+
+    def test_ndtri(self):
+        p = np.concatenate([
+            np.geomspace(1e-300, 0.5, 4000), 1 - np.geomspace(1e-15, 0.5, 4000)
+        ])
+        assert_close([norm_ppf(v) for v in p], special.ndtri(p), 1e-14, floor=1e-300)
+
+    @pytest.mark.parametrize("p", [1e-13, 1e-6, 0.3, 0.9, 1 - 1e-13])
+    def test_gamma_quantile(self, p):
+        shapes = np.geomspace(0.2, 50, 97)
+        lower = [gamma_quantile(a, p) for a in shapes]
+        upper = [gamma_quantile(a, p, upper=True) for a in shapes]
+        assert_close(lower, special.gammaincinv(shapes, p), 1e-12, floor=1e-300)
+        assert_close(upper, special.gammainccinv(shapes, p), 1e-12, floor=1e-300)
+
+    @pytest.mark.parametrize(
+        "theta", [(0.2, 1.0), (0.7, 0.1), (2.0, 3.0), (3.0, 3.1), (47.0, 5.0)]
+    )
+    def test_gamma_tail_bounds_leave_eps_in_each_tail(self, theta):
+        a, b = theta
+        lo, hi = GammaKernel().tail_bounds(theta, 1e-13)
+        assert special.gammainc(a, lo * b) == pytest.approx(1e-13, rel=1e-6)
+        assert special.gammaincc(a, hi * b) == pytest.approx(1e-13, rel=1e-6)
+
+    @pytest.mark.parametrize("eps", [0.0, 0.5, -1e-3, math.nan, "0.1"])
+    def test_tail_bounds_refuse_eps_outside_the_open_half_interval(self, eps):
+        with pytest.raises(InvalidParameter, match="eps"):
+            GaussianLocationKernel().tail_bounds([0.0], eps)
+
+
+def gl_nodes_by_panel(boundaries, panels_per_segment, order):
+    """Gauss-Legendre nodes and weights built one panel at a time."""
+    base_x, base_w = np.polynomial.legendre.leggauss(order)
+    xs, ws = [], []
+    for a, b in zip(boundaries[:-1], boundaries[1:]):
+        edges = np.linspace(a, b, panels_per_segment + 1)
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            half = 0.5 * (hi - lo)
+            xs.append(0.5 * (lo + hi) + half * base_x)
+            ws.append(half * base_w)
+    return np.concatenate(xs), np.concatenate(ws)
+
+
+class TestGaussLegendre:
+    def test_rules_are_cached_and_read_only(self):
+        nodes, weights = gauss_legendre(16)
+        assert gauss_legendre(16)[0] is nodes
+        assert not nodes.flags.writeable and not weights.flags.writeable
+        want = np.polynomial.legendre.leggauss(16)
+        assert np.array_equal(nodes, want[0]) and np.array_equal(weights, want[1])
+
+    @pytest.mark.parametrize("panels", [1, 3, 64])
+    @pytest.mark.parametrize("order", [8, 16, 32])
+    def test_nodes_are_bit_identical_to_the_panel_loop(self, panels, order):
+        gamma = segment_boundaries(GammaKernel(), [[2.0, 3.0], [3.0, 3.1]], 1e-13)
+        uniform = segment_boundaries(UniformKernel(), [[0.5], [2.0]], 1e-13)
+        for bounds in ([0.0, 1.0], [-3.2, 0.1, 7.5], [1.0, 1.0, 2.0], gamma, uniform):
+            got = gl_nodes(bounds, panels, order)
+            want = gl_nodes_by_panel(bounds, panels, order)
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
