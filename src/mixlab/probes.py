@@ -31,6 +31,7 @@ from .measures import (
 )
 from .products import (
     MC_DEFAULT_BUDGET,
+    DivergenceEstimate,
     MC_MIN_BUDGET,
     estimate_divergence,
     hellinger_upper_bound,
@@ -113,15 +114,20 @@ class ProbeReport:
         return {"probe": self.name, "params": self.params, "verdicts": self.verdicts}
 
 
-def _make_row(series, index, estimate, denominator):
+def _make_row(series, index, where, numerator, denominator):
+    """The ratio row at path position ``where`` (as ``ell=100``), its
+    denominator checked before the division. The numerator is a
+    DivergenceEstimate, or a float for an upper bound."""
+    if not denominator > 0.0:
+        raise InvalidPath(f"the distance underflows to 0 at {where}")
+    value, stderr, method = numerator, 0.0, "bound"
+    if isinstance(numerator, DivergenceEstimate):
+        value, stderr, method = numerator.value, numerator.stderr, numerator.method
+    value, denominator = float(value), float(denominator)
     return ProbeRow(
-        series=series,
-        index=float(index),
-        numerator=float(estimate.value),
-        numerator_stderr=float(estimate.stderr),
-        denominator=float(denominator),
-        ratio=float(estimate.value) / float(denominator),
-        method=estimate.method,
+        series=series, index=float(index), numerator=value,
+        numerator_stderr=float(stderr), denominator=denominator,
+        ratio=value / denominator, method=method,
     )
 
 
@@ -157,26 +163,30 @@ def _series_verdict(rows):
     return {"vanishing": vanishing, "bounded_away": bounded_away}
 
 
-def _normalized_direction(G0, a, b):
-    """Scale the direction so one unit of path length costs one unit of
-    matching distance: atom shifts are divided by their weights, then the
-    whole direction by the total of atom-shift norms and weight shifts."""
-    a_over_p = a / G0.weights[:, None]
-    scale = float(np.linalg.norm(a_over_p, axis=1).sum() + np.abs(b).sum())
-    return a_over_p / scale, b / scale
-
-
-def _path_measure(kernel, G0, a_prime, b_prime, ell):
-    atoms = G0.atoms + a_prime / ell
-    weights = G0.weights + b_prime / ell
-    if np.any(weights <= 0.0) or np.any(weights >= 1.0):
-        raise InvalidPath(f"weights leave the open simplex at ell={ell:g}")
+def _path_point(kernel, atoms, weights, where):
+    """The path's mixing measure at position ``where`` (as ``ell=100``),
+    refused when an atom leaves the parameter box or the weights leave the
+    open simplex."""
     if not np.all(kernel.in_box(atoms)):
-        raise InvalidPath(f"an atom leaves the parameter box at ell={ell:g}")
+        raise InvalidPath(f"an atom leaves the parameter box at {where}")
     try:
         return MixingMeasure(atoms, weights)
     except InvalidMeasure as exc:
-        raise InvalidPath(f"invalid measure at ell={ell:g}: {exc}") from exc
+        raise InvalidPath(f"invalid measure at {where}: {exc}") from exc
+
+
+def _direction_path(kernel, G0, a, b, grid):
+    """The checked measures G0 + (a, b) / ell over the shrink grid, the
+    direction first scaled so one unit of path length costs one unit of
+    matching distance: atom shifts are divided by their weights, then the
+    whole direction by the total of atom-shift norms and weight shifts."""
+    a = a / G0.weights[:, None]
+    scale = float(np.linalg.norm(a, axis=1).sum() + np.abs(b).sum())
+    a, b = a / scale, b / scale
+    return [
+        _path_point(kernel, G0.atoms + a / ell, G0.weights + b / ell, f"ell={ell:g}")
+        for ell in grid
+    ]
 
 
 def _path_numerator(kernel, G_ell, G0, N, which, budget, seed, workers, label):
@@ -267,19 +277,15 @@ def inverse_ratio_probe(
     seed = check_integer("seed", seed, 0)
     kernel.check_theta(G0.atoms)
     a, b = parse_direction(kernel, G0.k, direction)
-    a_prime, b_prime = _normalized_direction(G0, a, b)
     rows = []
-    denominators = []
-    for ell in grid:
-        G_ell = _path_measure(kernel, G0, a_prime, b_prime, ell)
+    for ell, G_ell in zip(grid, _direction_path(kernel, G0, a, b, grid)):
         d1 = distance_DN(G_ell, G0, 1)
-        denominators.append(d1)
-        estimate = _path_numerator(
+        est = _path_numerator(
             kernel, G_ell, G0, N, divergence, budget, seed, workers,
             label=f"path/{divergence}/N{N}/ell{ell:g}",
         )
-        rows.append(_make_row("ratio", ell, estimate, d1))
-    onset = _identity_onset(grid, denominators)
+        rows.append(_make_row("ratio", ell, f"ell={ell:g}", est, d1))
+    onset = _identity_onset(grid, [row.denominator for row in rows])
     params = {
         "kernel": kernel.name,
         "G0": G0.to_json(),
@@ -320,19 +326,16 @@ def impact_probe_Dr(
     a, b = parse_direction(kernel, G0.k, direction)
     if not np.any(b != 0.0):
         raise InvalidParameter("the direction must move at least one weight")
-    a_prime, b_prime = _normalized_direction(G0, a, b)
-    rows_dr = []
-    rows_wr = []
-    for ell in grid:
-        G_ell = _path_measure(kernel, G0, a_prime, b_prime, ell)
-        estimate = _path_numerator(
+    rows_dr, rows_wr = [], []
+    for ell, G_ell in zip(grid, _direction_path(kernel, G0, a, b, grid)):
+        est = _path_numerator(
             kernel, G_ell, G0, 1, "tv", budget, seed, workers,
             label=f"path/tv/N1/ell{ell:g}",
         )
         d_r = distance_Dr1r2(G_ell, G0, r, 1)
         w_r = wasserstein(G_ell, G0, r) ** r
-        rows_dr.append(_make_row("over_Dr1", ell, estimate, d_r))
-        rows_wr.append(_make_row("over_Wr_r", ell, estimate, w_r))
+        rows_dr.append(_make_row("over_Dr1", ell, f"ell={ell:g}", est, d_r))
+        rows_wr.append(_make_row("over_Wr_r", ell, f"ell={ell:g}", est, w_r))
     params = {
         "kernel": kernel.name,
         "G0": G0.to_json(),
@@ -346,9 +349,7 @@ def impact_probe_Dr(
         "over_Dr1": _series_verdict(rows_dr),
         "over_Wr_r": _series_verdict(rows_wr),
     }
-    return ProbeReport(
-        "impact_Dr", params, tuple(rows_dr + rows_wr), verdicts
-    )
+    return ProbeReport("impact_Dr", params, tuple(rows_dr + rows_wr), verdicts)
 
 
 def curvature_probe_locscale(G0, ell_grid=DEFAULT_ELL_GRID):
@@ -381,33 +382,24 @@ def curvature_probe_locscale(G0, ell_grid=DEFAULT_ELL_GRID):
         raise InvalidParameter(
             "the first two weights must be proportional to their scales"
         )
-    pair_rows = []
-    single_rows = []
-    pair_denoms = []
+    pair_rows, single_rows = [], []
     for ell in grid:
+        where = f"ell={ell:g}"
         c = 1.0 / ((2.0 + 2.0 * psi) * ell)
-        if p2 - psi * c <= 0.0 or p1 + psi * c >= 1.0:
-            raise InvalidPath(f"weights leave the open simplex at ell={ell:g}")
-        atoms_g = G0.atoms.copy()
-        weights_g = G0.weights.copy()
+        atoms_g, weights_g = G0.atoms.copy(), G0.weights.copy()
         atoms_g[0, 0] = xi1 - c
-        weights_g[0] = p1 + psi * c
-        weights_g[1] = p2 - psi * c
+        weights_g[:2] = p1 + psi * c, p2 - psi * c
         atoms_h = G0.atoms.copy()
         atoms_h[1] = (xi1 - c, sig2)
-        try:
-            G_ell = MixingMeasure(atoms_g, weights_g)
-            H_ell = MixingMeasure(atoms_h, G0.weights)
-        except InvalidMeasure as exc:
-            raise InvalidPath(f"invalid measure at ell={ell:g}: {exc}") from exc
+        G_ell = _path_point(kernel, atoms_g, weights_g, where)
+        H_ell = _path_point(kernel, atoms_h, G0.weights, where)
         d_pair = distance_DN(G_ell, H_ell, 1)
-        pair_denoms.append(d_pair)
         pair_est = estimate_divergence(G_ell, H_ell, kernel, 1, "tv")
-        pair_rows.append(_make_row("pair", ell, pair_est, d_pair))
+        pair_rows.append(_make_row("pair", ell, where, pair_est, d_pair))
         d_single = distance_DN(G_ell, G0, 1)
         single_est = estimate_divergence(G_ell, G0, kernel, 1, "tv")
-        single_rows.append(_make_row("single", ell, single_est, d_single))
-    onset = _identity_onset(grid, pair_denoms)
+        single_rows.append(_make_row("single", ell, where, single_est, d_single))
+    onset = _identity_onset(grid, [row.denominator for row in pair_rows])
     params = {
         "kernel": kernel.name,
         "G0": G0.to_json(),
@@ -462,38 +454,25 @@ def sqrtN_sharpness_probe(
     active = [e for e in eps_values if e != 0.0]
     if not active:
         raise InvalidParameter("eps_grid needs a nonzero perturbation size")
-    rows = []
-    minima = []
+    unit = np.zeros_like(G0.atoms)
+    unit[atom_index, coordinate] = 1.0
+    path = [
+        _path_point(kernel, G0.atoms + eps * unit, G0.weights, f"eps={eps:g}")
+        for eps in active
+    ]
+    rows, minima = [], []
     for n in n_values:
         psi_n = float(n) ** psi_exponent
-        best = math.inf
-        for eps in active:
-            atoms = G0.atoms.copy()
-            atoms[atom_index, coordinate] += eps
-            if not kernel.in_box(atoms[atom_index]):
-                raise InvalidPath(
-                    f"perturbation {eps:g} leaves the parameter box"
-                )
-            try:
-                G_eps = MixingMeasure(atoms, G0.weights)
-            except InvalidMeasure as exc:
-                raise InvalidPath(
-                    f"invalid measure at eps={eps:g}: {exc}"
-                ) from exc
-            numerator = float(hellinger_upper_bound(G_eps, G0, kernel, n))
-            denominator = float(distance_DN(G_eps, G0, psi_n))
-            row = ProbeRow(
-                series=f"N={n}",
-                index=eps,
-                numerator=numerator,
-                numerator_stderr=0.0,
-                denominator=denominator,
-                ratio=numerator / denominator,
-                method="bound",
+        cells = [
+            _make_row(
+                f"N={n}", eps, f"N={n}, eps={eps:g}",
+                hellinger_upper_bound(G_eps, G0, kernel, n),
+                distance_DN(G_eps, G0, psi_n),
             )
-            rows.append(row)
-            best = min(best, row.ratio)
-        minima.append({"N": n, "minimum": float(best)})
+            for eps, G_eps in zip(active, path)
+        ]
+        rows += cells
+        minima.append({"N": n, "minimum": min(row.ratio for row in cells)})
     mins = [entry["minimum"] for entry in minima]
     lo, hi = MINIMA_PLATEAU_BAND
     decreasing = all(b < a for a, b in zip(mins, mins[1:]))
