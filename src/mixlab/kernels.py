@@ -7,6 +7,7 @@ polynomial moment maps with closed-form Jacobian determinants.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from statistics import NormalDist
@@ -15,6 +16,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .errors import (
+    BudgetExceeded,
     ConvergenceError,
     DegenerateXi,
     InvalidParameter,
@@ -40,9 +42,16 @@ ROOT_RTOL = 4 * np.finfo(float).eps
 # Newton steps on a gamma quantile move log x by at most 1, and end below this.
 QUANTILE_STEP_TOL = 1e-10
 QUANTILE_STEPS = 100
+# The incomplete-gamma series and continued fraction take about 7 sqrt(shape)
+# terms; the cap keeps every shape up to 1e10 and refuses larger ones.
+GAMMA_TAIL_TERMS = 10**6
+# The count law Binomial(trials, theta) enumerates trials + 1 support points.
+BINOMIAL_TRIALS_MAX = 10**6
 
 # The standard normal quantile, by Wichura's algorithm AS241.
 norm_ppf = NormalDist().inv_cdf
+# Gaussian scales whose square is a positive normal float.
+SIGMA_RANGE = (math.sqrt(sys.float_info.min), math.sqrt(sys.float_info.max))
 
 
 def gammaln(x):
@@ -85,22 +94,29 @@ def _log_gamma_tails(a, u):
     if x < a + 1:
         term = total = 1 / a
         n = a
-        while term > total * 1e-17:
+        for _ in range(GAMMA_TAIL_TERMS):
+            if not term > total * 1e-17:
+                break
             n += 1
             term *= x / n
             total += term
+        else:
+            raise ConvergenceError(f"incomplete gamma series unresolved at shape {a!r}")
         log_p = lead + math.log(total)
         return lead, log_p, math.log1p(-math.exp(log_p))
     b = x + 1 - a
     c, d = math.inf, 1 / b
-    h, delta, i = d, 0.0, 0
-    while abs(delta - 1) > 3e-16:
-        i += 1
+    h, delta = d, 0.0
+    for i in range(1, GAMMA_TAIL_TERMS + 1):
+        if not abs(delta - 1) > 3e-16:
+            break
         b += 2
         d = 1 / (b + i * (a - i) * d)
         c = b + i * (a - i) / c
         delta = c * d
         h *= delta
+    else:
+        raise ConvergenceError(f"incomplete gamma fraction unresolved at shape {a!r}")
     log_q = lead + math.log(h)
     return lead, math.log1p(-math.exp(log_q)), log_q
 
@@ -244,8 +260,14 @@ class KernelFamily:
     expfam = None
 
     def in_box(self, theta):
-        """Boolean array over theta.shape[:-1]: which atoms lie in the box."""
-        raise NotImplementedError
+        """Boolean array over theta.shape[:-1]: which atoms have finite
+        coordinates inside the family's box."""
+        with np.errstate(invalid="ignore"):
+            return np.isfinite(theta).all(axis=-1) & self._in_box(theta)
+
+    def _in_box(self, theta):
+        """The family's box for atoms with finite coordinates."""
+        return np.ones(theta.shape[:-1], dtype=bool)
 
     def check_theta(self, theta):
         theta = np.atleast_1d(np.asarray(theta, dtype=float))
@@ -342,6 +364,11 @@ class BernoulliKernel(KernelFamily):
 
     def __init__(self, trials=1):
         self.trials = n = check_integer("trials", trials, 0)
+        if n > BINOMIAL_TRIALS_MAX:
+            raise BudgetExceeded(
+                f"Binomial({n}, theta) has more than {BINOMIAL_TRIALS_MAX} + 1 "
+                "support points to enumerate"
+            )
         self.points = np.arange(n + 1, dtype=float)
         self.expfam = ExpFamilySpec(
             stats=(lambda x: np.asarray(x, dtype=float),),
@@ -356,7 +383,7 @@ class BernoulliKernel(KernelFamily):
         n = self.trials
         return gammaln(n + 1) - gammaln(x + 1) - gammaln(n + 1 - x)
 
-    def in_box(self, theta):
+    def _in_box(self, theta):
         return (0.0 < theta[..., 0]) & (theta[..., 0] < 1.0)
 
     def _log_density(self, x, t):
@@ -410,7 +437,7 @@ class GaussianLocationKernel(KernelFamily):
     q = 1
 
     def __init__(self, sigma=1.0):
-        self.sigma = check_real("sigma", sigma, 0, strict=True)
+        self.sigma = check_real("sigma", sigma, *SIGMA_RANGE)
         s2 = self.sigma**2
         self.expfam = ExpFamilySpec(
             stats=(lambda x: np.asarray(x, dtype=float),),
@@ -420,9 +447,6 @@ class GaussianLocationKernel(KernelFamily):
             natural=lambda th: th / s2,
             in_natural_space=lambda eta: np.isfinite(eta).all(axis=-1),
         )
-
-    def in_box(self, theta):
-        return np.isfinite(theta[..., 0])
 
     def _log_density(self, x, mu):
         z = (x - mu) / self.sigma
@@ -436,7 +460,13 @@ class GaussianLocationKernel(KernelFamily):
 
     def sufficient_kernel(self, N):
         """The sample mean, N(theta, sigma^2 / N)."""
-        return GaussianLocationKernel(self.sigma / math.sqrt(N))
+        try:
+            return GaussianLocationKernel(self.sigma / math.sqrt(N))
+        except (OverflowError, InvalidParameter) as err:
+            raise InvalidParameter(
+                "N is too large: the sample mean's scale sigma / sqrt(N) leaves "
+                f"[{SIGMA_RANGE[0]:.3g}, {SIGMA_RANGE[1]:.3g}]"
+            ) from err
 
     def _tail_bounds(self, eps, mu):
         z = -norm_ppf(eps)
@@ -479,7 +509,7 @@ class GammaKernel(KernelFamily):
                 in_natural_space=lambda eta: (eta[..., 0] > -1.0) & (eta[..., 1] > 0.0),
             )
 
-    def in_box(self, theta):
+    def _in_box(self, theta):
         return (theta[..., 0] > 0.0) & (theta[..., 1] > 0.0)
 
     def _log_density(self, x, alpha, beta):
@@ -535,7 +565,7 @@ class UniformKernel(KernelFamily):
     name = "uniform"
     q = 1
 
-    def in_box(self, theta):
+    def _in_box(self, theta):
         return theta[..., 0] > 0.0
 
     def _log_density(self, x, t):
@@ -574,8 +604,8 @@ class LocScaleExponentialKernel(KernelFamily):
     name = "locscale_exponential"
     q = 2
 
-    def in_box(self, theta):
-        return np.isfinite(theta[..., 0]) & (theta[..., 1] > 0.0)
+    def _in_box(self, theta):
+        return theta[..., 1] > 0.0
 
     def _log_density(self, x, xi, sigma):
         return np.where(x > xi, -(x - xi) / sigma - np.log(sigma), -np.inf)
@@ -620,7 +650,7 @@ class GaussianLocationMixtureKernel(KernelFamily):
 
     def __init__(self, k, sigma=1.0):
         self.k = check_integer("k", k, 2)
-        self.sigma = check_real("sigma", sigma, 0, strict=True)
+        self.sigma = check_real("sigma", sigma, *SIGMA_RANGE)
         self.q = 2 * self.k - 1
 
     def split(self, theta):
@@ -630,14 +660,13 @@ class GaussianLocationMixtureKernel(KernelFamily):
         pis = np.concatenate([head, 1.0 - head.sum(axis=-1, keepdims=True)], axis=-1)
         return pis, theta[..., self.k - 1 :]
 
-    def in_box(self, theta):
+    def _in_box(self, theta):
         pis = theta[..., : self.k - 1]
         mus = theta[..., self.k - 1 :]
         return (
             np.all(pis > 0, axis=-1)
             & (pis.sum(axis=-1) < 1.0)
             & np.all(np.diff(mus, axis=-1) > 0, axis=-1)
-            & np.all(np.isfinite(mus), axis=-1)
         )
 
     def _log_density(self, x, *theta):
@@ -702,7 +731,7 @@ class BetaPushforwardKernel(KernelFamily):
     def __init__(self, xi):
         self.xi = check_real("xi", xi, 0, 1, strict=True)
 
-    def in_box(self, theta):
+    def _in_box(self, theta):
         pi1, a1, a2 = theta[..., 0], theta[..., 1], theta[..., 2]
         return (0.0 < pi1) & (pi1 < 1.0) & (2.0 < a1) & (a1 < a2)
 
@@ -909,9 +938,13 @@ def mixture_divergence(kernel, atoms, weights, atoms2, weights2, which):
     """TV, Hellinger distance or KL between the kernel mixtures (atoms,
     weights) and (atoms2, weights2), and the number of integrand nodes: a
     sum over kernel.points for discrete kernels, else integrate_panels over
-    the union of the TAIL_EPS tail bounds, cut at finite support ends and,
-    for TV, where the two densities cross (a sign scan of CROSSING_SCAN
-    interior points per segment, refined together by bracketed_roots)."""
+    the union of the TAIL_EPS tail bounds, cut at finite support ends, at
+    each atom's own tail bounds and, for TV, where the two densities cross
+    (a sign scan of CROSSING_SCAN interior points per segment, refined
+    together by bracketed_roots). The per-atom cuts give each component
+    segments of its own width: a component far narrower than the union
+    could otherwise fall between the nodes of a panel that both rules then
+    read as zero."""
     both = np.concatenate([atoms, atoms2])
     log_w = np.log(np.concatenate([weights, weights2]))
     k = len(atoms)
@@ -937,7 +970,8 @@ def mixture_divergence(kernel, atoms, weights, atoms2, weights2, which):
     if kernel.points is not None:
         value, nodes = float(integrand(kernel.points).sum()), kernel.points.size
     else:
-        bounds = segment_boundaries(kernel, both, TAIL_EPS)
+        ends = [end for atom in both for end in kernel.tail_bounds(atom, TAIL_EPS)]
+        bounds = sorted(set(segment_boundaries(kernel, both, TAIL_EPS)).union(ends))
         if which == "tv":
             a, b = np.array(bounds[:-1]), np.array(bounds[1:])
             t = np.arange(1, CROSSING_SCAN + 1) / (CROSSING_SCAN + 1)

@@ -461,8 +461,13 @@ def sqrtN_sharpness_probe(
         for eps in active
     ]
     rows, minima = [], []
-    for n in n_values:
-        psi_n = float(n) ** psi_exponent
+    try:
+        inflated = [float(n) ** psi_exponent for n in n_values]
+    except OverflowError as err:
+        raise InvalidParameter(
+            f"N**psi_exponent overflows at psi_exponent={psi_exponent!r}"
+        ) from err
+    for n, psi_n in zip(n_values, inflated):
         cells = [
             _make_row(
                 f"N={n}", eps, f"N={n}, eps={eps:g}",
@@ -503,8 +508,16 @@ def lecam_two_point_bound(m, N, gamma, beta0, a):
     gamma and beta0 calibrate how fast the divergence between the two test
     points grows with their separation; a sets the separation level.
     """
-    for name, value in (("m", m), ("N", N), ("gamma", gamma), ("beta0", beta0)):
+    m, N, gamma, beta0 = (
         check_real(name, value, 0, strict=True)
+        for name, value in (("m", m), ("N", N), ("gamma", gamma), ("beta0", beta0))
+    )
     check_real("a", a, 0, 1, strict=True)
-    half_sep = ((1.0 - a) / (gamma * math.sqrt(m * N))) ** (1.0 / beta0)
+    scale = gamma * math.sqrt(m * N)
+    if scale == 0.0:
+        raise InvalidParameter("gamma * sqrt(m * N) underflows to 0; raise m, N or gamma")
+    try:
+        half_sep = ((1.0 - a) / scale) ** (1.0 / beta0)
+    except OverflowError as err:
+        raise InvalidParameter(f"the separation overflows at beta0={beta0!r}") from err
     return (a / 4.0) * half_sep

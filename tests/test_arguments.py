@@ -123,6 +123,21 @@ BAD_CALLS = [
     ("mixture-sigma-inf",
      lambda: GaussianLocationMixtureKernel(2, sigma=math.inf), "sigma"),
     ("BetaPushforward-xi-bool", lambda: BetaPushforwardKernel(True), "xi"),
+    # Arithmetic faults: values whose arithmetic would overflow or underflow.
+    ("GaussianLocation-sigma-square-overflows",
+     lambda: GaussianLocationKernel(1e155), "sigma"),
+    ("GaussianLocation-sigma-square-underflows",
+     lambda: GaussianLocationKernel(1e-300), "sigma"),
+    ("mixture-sigma-square-overflows",
+     lambda: GaussianLocationMixtureKernel(2, sigma=1e300), "sigma"),
+    ("estimate_divergence-N-beyond-float",
+     lambda: estimate_divergence(G, H, GAUSS, 10**400, "tv"), "N"),
+    ("sharpness-psi_exponent-overflows",
+     lambda: sharpness(psi_exponent=1e300), "psi_exponent"),
+    ("lecam-beta0-overflows",
+     lambda: lecam_two_point_bound(1, 1, 0.1, 1e-300, 0.5), "beta0"),
+    ("lecam-m-N-underflow",
+     lambda: lecam_two_point_bound(1e-300, 1e-300, 1, 1, 0.5), "m"),
     ("estimate_divergence-workers-str", lambda: gamma_divergence(workers="x"), "workers"),
     ("estimate_divergence-workers-float",
      lambda: gamma_divergence(workers=2.5), "workers"),

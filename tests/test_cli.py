@@ -499,6 +499,21 @@ def _identify_with(**parameters):
     return dict(_probe_with(), subcommand="identify", parameters=parameters)
 
 
+def _gauss_with(params_fixed, subcommand, **parameters):
+    """A Gaussian location config of one subcommand."""
+    measures = [
+        {"atoms": [[-1.0], [1.0]], "weights": [0.4, 0.6]},
+        {"atoms": [[-0.9], [1.2]], "weights": [0.45, 0.55]},
+    ]
+    return {
+        "subcommand": subcommand,
+        "seed": 1,
+        "kernel": {"family": "gaussian_location", "params_fixed": params_fixed},
+        "measures": measures if subcommand == "divergence" else measures[:1],
+        "parameters": parameters,
+    }
+
+
 def _divergence_with_kernel(family, params_fixed):
     doc = dict(TestDeterminism.MC_DOC)
     doc["kernel"] = {"family": family, "params_fixed": params_fixed}
@@ -575,6 +590,55 @@ CONFIG_FAULTS = {
     ),
     "seed_negative": dict(TestDeterminism.MC_DOC, seed=-1),
     "seed_flag_negative": (TestDeterminism.MC_DOC, ["--seed", "-1"]),
+    # Arithmetic faults: each used to end in a traceback or never return.
+    "probe_distance_underflow": _gauss_with(
+        {}, "probe", name="inverse_ratio", direction=[1.0, -0.5, 0.3, -0.3], N=1,
+        ell_grid=[1e300, 1e308],
+    ),
+    "probe_transport_cost_underflow": dict(
+        _probe_with(),
+        kernel={"family": "bernoulli"},
+        measures=[{"atoms": [[0.3], [0.8]], "weights": [0.5, 0.5]}],
+        parameters={"name": "impact_Dr", "direction": [0.0, 0.0, 1.0, -1.0], "r": 1e300},
+    ),
+    "probe_psi_exponent_overflow": _gauss_with(
+        {}, "probe", name="sqrtN_sharpness", psi_exponent=1e300
+    ),
+    "divergence_sigma_square_overflows": _gauss_with({"sigma": 1e155}, "divergence"),
+    "identify_sigma_square_overflows": _gauss_with({"sigma": 1e155}, "identify"),
+    "posterior_sim_sigma_square_underflows": _gauss_with(
+        {"sigma": 1e-300}, "posterior-sim", **POSTERIOR_SIM["parameters"],
+        prior_box=[[-3.0, 3.0]],
+    ),
+    "divergence_N_beyond_float": _gauss_with({}, "divergence", N=10**400),
+    "minimax_beta0_overflow": {
+        "subcommand": "minimax",
+        "seed": 1,
+        "parameters": {"m": [1], "N": [1], "gamma": 0.1, "beta0": 1e-300, "a": 0.5},
+    },
+    "minimax_m_N_underflow": {
+        "subcommand": "minimax",
+        "seed": 1,
+        "parameters": {"m": [1e-300], "N": [1e-300], "gamma": 1, "beta0": 1, "a": 0.5},
+    },
+    "divergence_gamma_shape_huge": dict(
+        TestDeterminism.MC_DOC,
+        measures=[
+            {"atoms": [[1e300, 3.0], [3.0, 3.0]], "weights": [0.5, 0.5]},
+            {"atoms": [[2.2, 3.0], [3.0, 3.1]], "weights": [0.45, 0.55]},
+        ],
+        parameters={"name": "hellinger", "N": 1},
+    ),
+    "identify_gamma_shape_huge": dict(
+        _identify_with(),
+        measures=[{"atoms": [[1e300, 3.0], [3.0, 3.0]], "weights": [0.5, 0.5]}],
+    ),
+    "divergence_count_law_too_large": dict(
+        WEIGHT_SHIFT,
+        subcommand="divergence",
+        kernel={"family": "bernoulli"},
+        parameters={"name": "tv", "N": 10**12},
+    ),
 }
 
 
@@ -592,7 +656,7 @@ class TestConfigFaults:
                 sys.executable, "-m", "mixlab.cli", doc["subcommand"],
                 "--config", str(config), "--out", str(tmp_path / "out"), *flags,
             ],
-            capture_output=True, text=True, env=env,
+            capture_output=True, text=True, env=env, timeout=60,
         )
         assert proc.returncode == 1
         assert proc.stderr.startswith("error:")

@@ -372,3 +372,15 @@ def test_dataclasses_with_array_fields_compare_by_identity():
     declare eq=False and compare by identity."""
     found = [name for path in PACKAGE for name in dataclasses_comparing_arrays(path)]
     assert found == []
+
+
+def test_probes_build_rows_and_path_points_in_one_place():
+    """Every probe row comes from one checked row builder and every path
+    measure from one checked path-point builder."""
+    path = pathlib.Path(mixlab.__file__).parent / "probes.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    callers = {"ProbeRow": set(), "MixingMeasure": set()}
+    for scope, node in scoped_nodes(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            callers.get(node.func.id, set()).add(scope)
+    assert callers == {"ProbeRow": {"_make_row"}, "MixingMeasure": {"_path_point"}}

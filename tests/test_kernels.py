@@ -1,4 +1,5 @@
 import math
+import re
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -34,6 +35,7 @@ from mixlab.kernels import (
     gammaln,
     gauss_legendre,
     gl_nodes,
+    KERNEL_BUILDERS,
     hellinger_expfam,
     integrate_panels,
     kernel_from_spec,
@@ -584,6 +586,65 @@ class TestKernelFromSpec:
             kernel_from_spec({"family": family, "params_fixed": params})
 
 
+# A valid atom of each family, and the fixed parameters it is built with.
+FAMILY_ATOMS = {
+    "bernoulli": ({}, [0.3]),
+    "gaussian_location": ({}, [0.4]),
+    "gamma": ({}, [2.5, 1.7]),
+    "uniform": ({}, [2.2]),
+    "locscale_exponential": ({}, [-0.5, 1.4]),
+    "gaussian_location_mixture": ({"k": 3}, [0.2, 0.5, -1.0, 0.3, 2.0]),
+    "beta_pushforward": ({"xi": 0.4}, [0.3, 2.6, 5.0]),
+}
+
+
+class TestNonFiniteAtoms:
+    def test_every_family_has_a_case(self):
+        assert sorted(FAMILY_ATOMS) == sorted(KERNEL_BUILDERS)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("family", sorted(KERNEL_BUILDERS))
+    def test_every_coordinate_refuses_non_finite_values(self, family, bad):
+        params, atom = FAMILY_ATOMS[family]
+        kernel = kernel_from_spec({"family": family, "params_fixed": params})
+        assert kernel.in_box(np.array(atom))
+        for i in range(len(atom)):
+            theta = np.array(atom, dtype=float)
+            theta[i] = bad
+            assert not kernel.in_box(theta)
+            assert not kernel.in_box(np.stack([np.array(atom), theta]))[1]
+            with pytest.raises(InvalidParameter, match="outside box"):
+                kernel.log_density(0.5, theta)
+            with pytest.raises(InvalidParameter, match="outside box"):
+                kernel.mean(theta)
+
+    def test_gamma_faults_from_infinite_parameters(self):
+        with pytest.raises(InvalidParameter):
+            GammaKernel().log_density(1.0, (math.inf, 1.0))
+        with pytest.raises(InvalidParameter):
+            GammaKernel().tail_bounds((1.0, math.inf), 1e-13)
+
+
+class TestGaussianScaleRange:
+    @pytest.mark.parametrize("sigma", [1.5e-154, 1.3e154])
+    def test_scales_whose_square_is_normal_are_accepted(self, sigma):
+        assert GaussianLocationKernel(sigma).sigma == sigma
+        assert GaussianLocationMixtureKernel(2, sigma).sigma == sigma
+
+    @pytest.mark.parametrize("sigma", [1e-300, 1.4e-154, 1.35e154, 1e300])
+    def test_scales_whose_square_is_not_normal_are_refused(self, sigma):
+        with pytest.raises(InvalidParameter, match="sigma"):
+            GaussianLocationKernel(sigma)
+        with pytest.raises(InvalidParameter, match="sigma"):
+            GaussianLocationMixtureKernel(2, sigma)
+
+    def test_reduction_refuses_a_length_beyond_the_float_range(self):
+        assert GaussianLocationKernel(1.0).sufficient_kernel(10**300).sigma == 1e-150
+        for N in (10**400, 10**308):
+            with pytest.raises(InvalidParameter, match="N is too large"):
+                GaussianLocationKernel(1.0).sufficient_kernel(N)
+
+
 def damped_sine(x):
     """Roots at the multiples of pi, one in each bracket of width < pi."""
     return np.sin(x) * np.exp(0.1 * x)
@@ -674,6 +735,19 @@ class TestSpecialFunctions:
         assert_close(gammaln(x), special.gammaln(x), 1e-14)
         assert gammaln(x[:27000].reshape(3, -1)).shape == (3, 9000)
         assert gammaln(np.array([0.0, -1.0, -7.0])).tolist() == [np.inf] * 3
+
+    @pytest.mark.parametrize("shape", [1e6, 1e10])
+    def test_gamma_tail_bounds_at_large_shape(self, shape):
+        # The tail loops take about 7 sqrt(shape) terms, under their cap.
+        lo, hi = GammaKernel().tail_bounds((shape, 1.0), 1e-13)
+        sd = math.sqrt(shape)
+        assert shape - 8 * sd < lo < shape - 7 * sd
+        assert shape + 7 * sd < hi < shape + 8 * sd
+
+    @pytest.mark.parametrize("shape", [1e12, 1e300])
+    def test_gamma_tail_loops_are_capped(self, shape):
+        with pytest.raises(ConvergenceError, match=re.escape(f"shape {shape!r}")):
+            GammaKernel().tail_bounds((shape, 1.0), 1e-13)
 
     def test_lgamma_is_exactly_zero_at_one_and_two(self):
         assert gammaln(1.0) == 0.0 and gammaln(2) == 0.0

@@ -191,6 +191,31 @@ class TestInverseRatioProbe:
         with pytest.raises(InvalidPath):
             inverse_ratio_probe(BERN, G, weight_only_direction(G, 1, 0), 1)
 
+    def test_path_faults_name_the_position(self):
+        G = MixingMeasure(np.array([[0.05], [0.9]]), [0.5, 0.5])
+        with pytest.raises(InvalidPath, match="ell=10$"):
+            inverse_ratio_probe(BERN, G, [-1.0, 0.0, 0.0, 0.0], 1)
+        G = MixingMeasure(np.array([[0.3], [0.8]]), [0.02, 0.98])
+        with pytest.raises(InvalidPath, match="at ell=10: weights"):
+            inverse_ratio_probe(BERN, G, weight_only_direction(G, 1, 0), 1)
+
+    def test_distance_underflow_ends_in_invalid_path(self):
+        # at ell = 1e300 the path point rounds back onto the base measure
+        with pytest.raises(InvalidPath, match=r"underflows to 0 at ell=1e\+300"):
+            inverse_ratio_probe(
+                GAUSS, GAUSS_G0, GAUSS_DIRECTION, 1, ell_grid=(1e300, 1e308)
+            )
+
+    @pytest.mark.parametrize("sigma", [1.0, 0.05])
+    def test_one_atom_base_matches_closed_form(self, sigma):
+        G0 = MixingMeasure(np.array([[0.3]]), [1.0])
+        kernel = GaussianLocationKernel(sigma)
+        report = inverse_ratio_probe(kernel, G0, [1.0, 0.0], 1)
+        for row in report.series("ratio"):
+            tv = math.erf(1.0 / row.index / (2.0 * math.sqrt(2.0) * sigma))
+            assert row.denominator == pytest.approx(1.0 / row.index, rel=1e-12)
+            assert row.ratio == pytest.approx(tv * row.index, rel=1e-9)
+
     def test_grid_validation(self):
         G = MixingMeasure(np.array([[0.3], [0.8]]), [0.5, 0.5])
         flat = weight_only_direction(G)
@@ -270,6 +295,12 @@ class TestImpactProbe:
             impact_probe_Dr(
                 GAMMA, GAMMA_G0, [0.0, 1.0, 0.0, 0.0, 0.0, 0.0], 2.0
             )
+
+    def test_transport_cost_underflow_ends_in_invalid_path(self):
+        # every atom gap is below 1, so gap**r underflows to 0
+        G = MixingMeasure(np.array([[0.3], [0.8]]), [0.5, 0.5])
+        with pytest.raises(InvalidPath, match="underflows to 0 at ell=10$"):
+            impact_probe_Dr(BERN, G, [0.0, 0.0, 1.0, -1.0], 1e300)
 
     def test_order_below_one_rejected(self):
         with pytest.raises(InvalidParameter):
@@ -420,6 +451,13 @@ class TestSqrtNSharpnessProbe:
         with pytest.raises(InvalidPath):
             sqrtN_sharpness_probe(
                 BERN, G, 2.0, N_grid=(2, 4), eps_grid=(0.2,), atom_index=1
+            )
+
+    def test_path_fault_names_the_perturbation(self):
+        G = MixingMeasure(np.array([[0.3], [0.9]]), [0.5, 0.5])
+        with pytest.raises(InvalidPath, match="parameter box at eps=0.2$"):
+            sqrtN_sharpness_probe(
+                BERN, G, 2.0, N_grid=(2, 4), eps_grid=(0.05, 0.2), atom_index=1
             )
 
 

@@ -521,6 +521,48 @@ class TestSufficientReduction:
         assert est.stderr == 0.0
         assert abs(est.value - mc.value) < 4 * mc.stderr
 
+    @pytest.mark.parametrize("sigma", [1.0, 1e-2, 3e-3, 1e-4, 1e-6])
+    def test_narrow_components_match_erf_identity(self, sigma):
+        # The shared atom cancels, leaving half the TV of the moved pair.
+        G = MixingMeasure(np.array([[0.0], [1.0]]), np.array([0.5, 0.5]))
+        G2 = MixingMeasure(np.array([[0.5], [1.0]]), np.array([0.5, 0.5]))
+        tv = estimate_divergence(G, G2, GaussianLocationKernel(sigma), 1, "tv")
+        closed = 0.5 * math.erf(0.5 / (2 * math.sqrt(2) * sigma))
+        assert abs(tv.value - closed) < 1e-12
+
+    @pytest.mark.parametrize("N", [4096, 262144, 10**8])
+    def test_reduced_pair_with_narrow_components(self, N):
+        # At these N the components near -1 and near 1 sit hundreds of
+        # standard errors apart, so each group contributes on its own:
+        # TV by its crossing point and Hellinger's affinity in closed form.
+        G = MixingMeasure(np.array([[-1.0], [1.0]]), np.array([0.4, 0.6]))
+        G2 = MixingMeasure(np.array([[-0.9], [1.2]]), np.array([0.45, 0.55]))
+        s = 1.0 / math.sqrt(N)
+        groups = ((0.4, -1.0, 0.45, -0.9), (0.6, 1.0, 0.55, 1.2))
+
+        def tail(z):  # P(Z > z)
+            return 0.5 * math.erfc(z / math.sqrt(2))
+
+        tv = affinity = 0.0
+        for a, m1, b, m2 in groups:
+            c = 0.5 * (m1 + m2) + s * s * math.log(a / b) / (m2 - m1)
+            left = a * tail((m1 - c) / s) - b * tail((m2 - c) / s)
+            right = b * tail((c - m2) / s) - a * tail((c - m1) / s)
+            tv += 0.5 * (left + right)
+            affinity += math.sqrt(a * b) * math.exp(-((m2 - m1) ** 2) / (8 * s * s))
+        got_tv = estimate_divergence(G, G2, GAUSS, N, "tv").value
+        got_h = estimate_divergence(G, G2, GAUSS, N, "hellinger").value
+        assert abs(got_tv - tv) < 1e-10
+        assert abs(got_h - math.sqrt(1.0 - affinity)) < 1e-10
+
+    def test_count_law_enumeration_is_capped(self):
+        assert BERN.sufficient_kernel(10**6).points.size == 10**6 + 1
+        with pytest.raises(BudgetExceeded, match="support points"):
+            BERN.sufficient_kernel(10**6 + 1)
+        G, G2 = bern_measure([0.3], [1.0]), bern_measure([0.4], [1.0])
+        with pytest.raises(BudgetExceeded, match="support points"):
+            estimate_divergence(G, G2, BERN, 10**12, "tv")
+
     def test_other_kernels_have_no_reduction(self):
         assert GammaKernel().sufficient_kernel(3) is None
         counts = BERN.sufficient_kernel(3)
