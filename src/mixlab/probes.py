@@ -31,8 +31,8 @@ from .measures import (
 )
 from .products import (
     MC_DEFAULT_BUDGET,
-    DivergenceEstimate,
     MC_MIN_BUDGET,
+    DivergenceEstimate,
     estimate_divergence,
     hellinger_upper_bound,
     uses_monte_carlo,
@@ -444,6 +444,12 @@ def sqrtN_sharpness_probe(
         raise InvalidParameter("the N grid needs at least two lengths")
     if any(b <= a for a, b in zip(n_values, n_values[1:])):
         raise InvalidParameter("the N grid must be strictly increasing")
+    try:
+        inflated = [float(n) ** psi_exponent for n in n_values]
+    except OverflowError as err:
+        raise InvalidParameter(
+            f"N**psi_exponent overflows at psi_exponent={psi_exponent!r}"
+        ) from err
     eps_values = [check_real("each entry of eps_grid", e) for e in eps_grid]
     kernel.check_theta(G0.atoms)
     atom_index = check_integer("atom_index", atom_index, 0)
@@ -461,12 +467,6 @@ def sqrtN_sharpness_probe(
         for eps in active
     ]
     rows, minima = [], []
-    try:
-        inflated = [float(n) ** psi_exponent for n in n_values]
-    except OverflowError as err:
-        raise InvalidParameter(
-            f"N**psi_exponent overflows at psi_exponent={psi_exponent!r}"
-        ) from err
     for n, psi_n in zip(n_values, inflated):
         cells = [
             _make_row(
