@@ -213,7 +213,7 @@ class MomentMapReport:
 
 def logsumexp(a, axis=-1):
     """log(sum(exp(a))) along an axis; -inf where every term is -inf."""
-    mx = np.max(a, axis=axis, keepdims=True)
+    mx = a.max(axis=axis, keepdims=True)
     mx = np.where(np.isfinite(mx), mx, 0.0)
     with np.errstate(divide="ignore"):
         return np.squeeze(mx, axis=axis) + np.log(np.exp(a - mx).sum(axis=axis))

@@ -26,10 +26,9 @@ PERMUTATION_MAX = 7
 TRANSPORT_TOL = 1e-12
 
 
-@np.errstate(over="ignore")
 def _min_gap(atoms):
-    """Smallest pairwise Euclidean gap between the rows of (..., k, q)
-    atoms, one per leading index; inf for one row or an overflowing gap."""
+    """Smallest Euclidean gap between rows of (..., k, q) atoms per leading
+    index; inf for one row or an overflowing gap, callers ignoring overflow."""
     diff = atoms[..., :, None, :] - atoms[..., None, :, :]
     dists = np.sqrt((diff**2).sum(axis=-1))
     diagonal = np.arange(atoms.shape[-2])
@@ -55,9 +54,10 @@ def measure_fault(atoms, weights):
     """The first violated invariant of (k, q) atoms and (k,) weights as a
     message, or None for a valid measure: finite atoms, positive weights
     summing to 1 within WEIGHT_TOL, pairwise distinct atoms."""
-    for holds, message in _invariants(atoms, weights):
-        if not holds:
-            return message.format(total=float(weights.sum()))
+    with np.errstate(over="ignore"):
+        for holds, message in _invariants(atoms, weights):
+            if not holds:
+                return message.format(total=float(weights.sum()))
     return None
 
 
@@ -66,7 +66,7 @@ def valid_measures(atoms, weights):
     hold every invariant of ``measure_fault``: a boolean over the leading
     axes."""
     valid = np.ones(atoms.shape[:-2], dtype=bool)
-    with np.errstate(invalid="ignore"):
+    with np.errstate(invalid="ignore", over="ignore"):
         for holds, _ in _invariants(atoms, weights):
             valid &= holds
     return valid
@@ -172,7 +172,8 @@ class MixingMeasure:
     @property
     def rho(self):
         """Minimum pairwise atom gap (inf for a single atom)."""
-        return float(_min_gap(self.atoms))
+        with np.errstate(over="ignore"):
+            return float(_min_gap(self.atoms))
 
     def to_json(self):
         return json.dumps(

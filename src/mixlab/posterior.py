@@ -53,10 +53,10 @@ LOG_FLOOR = 1e-300
 # block's first acceptance are scored for nothing, so _block_length weighs
 # them against a fixed cost per block of BLOCK_OVERHEAD_CELLS likelihood
 # cells (one atom of one measure against one data row): building, checking
-# and scanning a block takes about 100 us of numpy calls, and a cell
-# 30-50 ns.
+# and scanning a block takes about 90 us of numpy calls, and a cell 45-57 ns
+# (one core of a 2-CPU Xeon, numpy 2.4).
 PROPOSAL_BLOCK = 8
-BLOCK_OVERHEAD_CELLS = 2000
+BLOCK_OVERHEAD_CELLS = 1600
 # The error summary takes at most this many array entries per block of draws.
 MATCHING_BLOCK_ENTRIES = 2**22
 
@@ -210,13 +210,13 @@ def _likelihood_evaluator(kernel, dataset, prior):
     and summed statistic S_j = sum_t T(x_jt). The unique (n_j, S_j) rows
     with their counts and the summed log-carrier are built once; a measure
     costs counts @ logsumexp(log w + S eta(theta)^T - n A(eta(theta))) plus
-    that constant, at O(rows * k), with one dot product per measure so that
-    its sum does not depend on B. Other kernels evaluate the log density on
-    the concatenated samples and segment-sum per sequence. InvalidParameter
-    names a value outside a discrete kernel's points, with an infinite
-    log-carrier, or with zero density at every corner of the prior box: the
-    support of each kernel grows toward a corner, so such a value has zero
-    density for every theta in the box.
+    that constant, at O(rows * k), with one np.vecdot dot product per
+    measure so that its sum does not depend on B. Other kernels evaluate
+    the log density on the concatenated samples and segment-sum per
+    sequence. InvalidParameter names a value outside a discrete kernel's
+    points, with an infinite log-carrier, or with zero density at every
+    corner of the prior box: the support of each kernel grows toward a
+    corner, so such a value has zero density for every theta in the box.
     """
     if dataset is None:
         return (lambda atoms, log_weights: np.zeros(len(atoms))), 0
@@ -263,7 +263,7 @@ def _likelihood_evaluator(kernel, dataset, prior):
             + S @ np.swapaxes(eta, 1, 2)
             - n * spec.log_partition(eta)[:, None, :]
         )
-        return np.array([counts @ row for row in logsumexp(mat, axis=2)]) + constant
+        return np.vecdot(logsumexp(mat, axis=2), counts) + constant
 
     return loglik, len(rows)
 
@@ -288,7 +288,8 @@ def _reflect_into_box(values, lo, hi):
 def _alr_to_weights(u):
     """Weights and log weights of (..., k - 1) additive log-ratio
     coordinates, the last component the reference."""
-    z = np.concatenate([u, np.zeros(u.shape[:-1] + (1,))], axis=-1)
+    z = np.zeros(u.shape[:-1] + (u.shape[-1] + 1,))
+    z[..., :-1] = u
     logw = z - logsumexp(z)[..., None]
     return np.exp(logw), logw
 
@@ -314,16 +315,18 @@ def mcmc_run(dataset, kernel, prior, k0, config, rng):
     the target acceptance during burn-in, then freezes. Deterministic
     given an integer seed.
 
-    Every step's noise is drawn before the first step, in the per-step
-    order normal(k, q), normal(k - 1), random(); this holds O(steps * k * q)
-    floats. The noise does not depend on the state, and every proposal
-    made while the chain keeps rejecting starts from the same state, so
-    the next B proposals (never past an adaptation during burn-in) are
-    built, checked and scored as one stack. The first one accepted ends
-    the block, and the steps before it are rejections. The proposals after
-    it are wasted, so B is set by ``_block_length`` from the acceptance
-    rate and the likelihood's size: at the target acceptance at first,
-    then at the chain's acceptance so far at each adaptation. The
+    Every step's noise is drawn before the first step as one normal(k q +
+    k - 1), atoms first, then random(): the stream of normal(k, q),
+    normal(k - 1), random(). It holds O(steps * k * q) floats. The noise
+    does not depend on the state, and every proposal made while the chain
+    keeps rejecting starts from the same state, so the next B proposals
+    (never past an adaptation during burn-in) are built, checked and scored
+    as one stack, and the invalid ones masked to -inf after scoring: their
+    atoms lie in the box and their log weights stay finite. The first one
+    accepted ends the block, and the steps before it are rejections. The
+    proposals after it are wasted, so B is set by ``_block_length`` from
+    the acceptance rate and the likelihood's size: at the target acceptance
+    at first, then at the chain's acceptance so far at each adaptation. The
     generator stream, the draws, the acceptance rate and the scale trace
     are those of a chain that makes one proposal per step, whatever B is.
     """
@@ -351,13 +354,13 @@ def mcmc_run(dataset, kernel, prior, k0, config, rng):
     current = loglik(atoms[None], logw[None])[0] + logw.sum()
 
     steps = config.steps
-    noise_atoms = np.empty((steps, k0, prior.q))
-    noise_u = np.empty((steps, k0 - 1))
+    noise = np.empty((steps, atoms.size + u.size))
     log_uniform = np.empty(steps)
     for step in range(steps):
-        noise_atoms[step] = rng.normal(size=atoms.shape)
-        noise_u[step] = rng.normal(size=u.shape)
+        noise[step] = rng.normal(size=noise.shape[1])
         log_uniform[step] = math.log(rng.random())
+    noise_atoms = noise[:, : atoms.size].reshape((steps,) + atoms.shape)
+    noise_u = noise[:, atoms.size :]
 
     scale = config.initial_scale
     trace = [(0, scale)]
@@ -381,12 +384,8 @@ def mcmc_run(dataset, kernel, prior, k0, config, rng):
         prop_u = u + 2.0 * scale * noise_u[step:end]
         prop_weights, prop_logw = _alr_to_weights(prop_u)
         accept = valid_measures(prop_atoms, prop_weights)
-        proposal = np.full(end - step, -math.inf)
-        if accept.any():
-            proposal[accept] = (
-                loglik(prop_atoms[accept], prop_logw[accept])
-                + prop_logw[accept].sum(axis=1)
-            )
+        scored = loglik(prop_atoms, prop_logw) + prop_logw.sum(axis=1)
+        proposal = np.where(accept, scored, -math.inf)
         if current != -math.inf:
             accept &= log_uniform[step:end] < proposal - current
         rejects = int(accept.argmax()) if accept.any() else end - step
@@ -592,10 +591,8 @@ def contraction_experiment(
     else:
         master = check_integer("rng", rng, 0)
     m_values = [check_integer("each entry of m_grid", m, 1) for m in m_grid]
-    if len(m_values) < 2:
-        raise InvalidParameter(
-            "the size grid needs at least two sequence counts for a slope"
-        )
+    if len(set(m_values)) < 2:
+        raise InvalidParameter("the size grid needs two distinct sequence counts")
     replicates = check_integer("replicates", replicates, 1)
     check_integer("workers", 1 if workers is None else workers, 1)
     if len(m_values) * replicates < 3:

@@ -45,6 +45,13 @@ class ProductMixtureModel:
         kernel.check_theta(measure.atoms)
         self.measure = measure
         self.kernel = kernel
+        # What every score reads of the measure, computed once per model.
+        self._log_w = np.log(measure.weights)
+        spec = kernel.expfam
+        if spec is not None:
+            self._eta = spec.natural(measure.atoms)
+            with np.errstate(invalid="ignore", over="ignore"):
+                self._offset = self._log_w - self.N * spec.log_partition(self._eta)
 
     def log_density(self, xbar):
         xbar = np.asarray(xbar, dtype=float).reshape(-1)
@@ -72,17 +79,12 @@ class ProductMixtureModel:
         logsumexp over atoms of log w - N A(eta) + eta S, plus the summed
         log-carrier, at O(k) per row; otherwise the per-observation kernel
         log densities summed over the sequence."""
-        atoms = self.measure.atoms
-        log_w = np.log(self.measure.weights)
-        spec = self.kernel.expfam
-        if spec is None:
+        if self.kernel.expfam is None:
             with np.errstate(invalid="ignore"):
-                comp = self.kernel.log_density(reduced, atoms).sum(axis=-1)
-            return logsumexp(comp + log_w[:, None], axis=0)
+                comp = self.kernel.log_density(reduced, self.measure.atoms).sum(axis=-1)
+            return logsumexp(comp + self._log_w[:, None], axis=0)
         S, carrier = reduced
-        eta = spec.natural(atoms)
-        offset = log_w - self.N * spec.log_partition(eta)
-        return logsumexp(offset[:, None] + eta @ S.T, axis=0) + carrier
+        return logsumexp(self._offset[:, None] + self._eta @ S.T, axis=0) + carrier
 
     def sample(self, count, rng):
         """Draw sequences: one latent component per sequence."""

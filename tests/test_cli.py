@@ -534,6 +534,7 @@ CONFIG_FAULTS = {
     },
     "length_law_string_length": _posterior_sim_with(length_law=["constant", "x"]),
     "length_law_list_bound": _posterior_sim_with(length_law=["uniform", 3, [5]]),
+    "posterior_sim_one_distinct_m": _posterior_sim_with(m_grid=[60, 60]),
     "witness_empty_a": {
         "subcommand": "witness",
         "seed": 1,

@@ -61,6 +61,7 @@ class TestMixingMeasure:
         with pytest.raises(InvalidMeasure):
             MixingMeasure(["a", "b"], [0.5, 0.5])
 
+    @pytest.mark.filterwarnings("error")
     def test_valid_measures_agree_with_measure_fault(self):
         atoms = np.array([
             [[0.2, 1.0], [0.8, 1.0]],
@@ -69,15 +70,36 @@ class TestMixingMeasure:
             [[0.2, 1.0], [0.8, 1.0]],
             [[0.5, 1.0], [0.5, 1.0]],
             [[0.1, 0.0], [0.1, 0.5]],
+            [[0.2, np.nan], [0.8, 1.0]],
+            [[0.2, 1.0], [0.8, 1.0]],
+            [[0.2, 1.0], [0.8, 1.0]],
+            [[0.2, 1.0], [0.8, 1.0]],
+            [[1e200, 0.0], [-1e200, 0.0]],
+            [[-np.inf, 1.0], [np.inf, 1.0]],
         ])
         weights = np.array([
             [0.5, 0.5], [0.5, 0.5], [0.0, 1.0], [0.5, 0.6], [0.5, 0.5], [0.3, 0.7],
+            [0.5, 0.5], [np.nan, 0.5], [np.exp(-800.0), 1.0], [5e-324, 1.0],
+            [0.5, 0.5], [0.5, 0.5],
         ])
+        assert weights[8, 0] == 0.0 < weights[9, 0]
         valid = valid_measures(atoms, weights)
-        assert valid.tolist() == [True, False, False, False, False, True]
+        assert valid.tolist() == [
+            True, False, False, False, False, True,
+            False, False, False, True, True, False,
+        ]
         assert valid.tolist() == [
             measure_fault(a, w) is None for a, w in zip(atoms, weights)
         ]
+        # A lone (k, q) measure gives a 0-d array, a (2, 3, k, q) stack a
+        # (2, 3) one.
+        for a, w in zip(atoms, weights):
+            alone = valid_measures(a, w)
+            assert alone.shape == () and bool(alone) == (measure_fault(a, w) is None)
+        stacked = valid_measures(
+            atoms[:6].reshape(2, 3, 2, 2), weights[:6].reshape(2, 3, 2)
+        )
+        assert stacked.tolist() == [valid[:3].tolist(), valid[3:6].tolist()]
 
     def test_single_atom_rho_inf(self):
         G = MixingMeasure(np.array([[1.0, 2.0]]), np.array([1.0]))

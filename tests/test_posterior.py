@@ -30,8 +30,10 @@ from mixlab.measures import (
     canonicalize,
     distance_DN,
     measure_fault,
+    valid_measures,
 )
 from mixlab.posterior import (
+    DEFAULT_INITIAL_SCALE,
     PROPOSAL_BLOCK,
     SCALE_CEILING,
     SCALE_FLOOR,
@@ -363,8 +365,10 @@ class TestLogPosterior:
             (GAUSS, [[-3.0, 3.0]]),
             (GammaKernel(), [[0.5, 5.0], [0.5, 5.0]]),
             (UniformKernel(), [[4.0, 9.0]]),
+            (BERN, [[0.01, 0.99]]),
+            (BernoulliKernel(3), [[0.01, 0.99]]),
         ],
-        ids=["gaussian", "gamma", "uniform"],
+        ids=["gaussian", "gamma", "uniform", "bernoulli", "binomial_trials3"],
     )
     def test_stacked_likelihood_equals_one_measure_at_a_time(self, kernel, box):
         # The sampler scores a block of proposals in one call; each entry
@@ -372,7 +376,11 @@ class TestLogPosterior:
         # the one-measure arithmetic of the reference sampler.
         prior = PriorSpec(kernel, np.array(box))
         rng = np.random.default_rng(12)
-        seqs = [rng.uniform(0.1, 3.9, size=n) for n in rng.integers(2, 9, size=300)]
+        lengths = rng.integers(2, 9, size=300)
+        if kernel.points is None:
+            seqs = [rng.uniform(0.1, 3.9, size=n) for n in lengths]
+        else:
+            seqs = [rng.choice(kernel.points, size=n) for n in lengths]
         data = ExchangeableDataset(seqs)
         loglik, _ = _likelihood_evaluator(kernel, data, prior)
         reference = _reference_loglik(kernel, data)
@@ -384,6 +392,24 @@ class TestLogPosterior:
         assert stacked.shape == (len(measures),)
         assert stacked.tolist() == alone
         assert alone == [reference(a, w) for a, w in zip(atoms, log_weights)]
+
+    def test_stacked_sum_is_one_dot_product_per_measure(self):
+        # The counts-weighted sum over the unique (n_j, S_j) rows is one dot
+        # product per measure, the reference's counts @ row, for any stack
+        # length: a matrix-vector product would regroup the sum.
+        prior = PriorSpec(GAUSS, np.array([[-3.0, 3.0]]))
+        rng = np.random.default_rng(14)
+        seqs = [rng.normal(size=n) for n in rng.integers(2, 9, size=399)]
+        data = ExchangeableDataset(seqs)
+        loglik, rows = _likelihood_evaluator(GAUSS, data, prior)
+        assert rows == 399
+        reference = _reference_loglik(GAUSS, data)
+        measures = [prior_sample(prior, 4, rng) for _ in range(64)]
+        atoms = np.stack([G.atoms for G in measures])
+        log_weights = np.log(np.stack([G.weights for G in measures]))
+        alone = [reference(a, w) for a, w in zip(atoms, log_weights)]
+        for size in range(1, 65):
+            assert loglik(atoms[:size], log_weights[:size]).tolist() == alone[:size]
 
     def test_support_check_reads_one_corner_at_a_time(self, monkeypatch):
         # A q = 5 box has 32 corners; the check never builds a
@@ -496,6 +522,10 @@ class TestMCMCRun:
                 "gaussian",
                 "764457c57d6f79d6e5f0cca1cfe8ac446f3bb766dbc0a12085a64257a8141216",
             ),
+            (
+                "gamma_q2",
+                "efc4b3826bf370927e7a9c23c1399b997ca09a800da04e029a0fd2802d45f239",
+            ),
         ],
     )
     def test_pinned_chain_stream(self, family, digest):
@@ -506,13 +536,21 @@ class TestMCMCRun:
             G0 = MixingMeasure(np.array([[0.25], [0.75]]), [0.4, 0.6])
             rng = np.random.default_rng(61)
             lengths = [3] * 40
-        else:
+        elif family == "gaussian":
             kernel, prior, seed = GAUSS, PriorSpec(GAUSS, np.array([[-3.0, 3.0]])), 64
             G0 = MixingMeasure(np.array([[-1.0], [1.0]]), [0.4, 0.6])
             rng = np.random.default_rng(63)
             lengths = rng.integers(2, 6, size=30)
+        else:
+            kernel = GammaKernel()
+            prior, seed = PriorSpec(kernel, np.array([[1.0, 6.0], [0.5, 3.0]])), 66
+            G0 = MixingMeasure(np.array([[2.0, 1.0], [4.0, 2.0]]), [0.5, 0.5])
+            rng = np.random.default_rng(65)
+            lengths = [4] * 30
         data = sample_dataset(G0, kernel, lengths, rng)
-        chain = mcmc_run(data, kernel, prior, 2, MCMCConfig(steps=600), seed)
+        scale = 0.05 if family == "gamma_q2" else DEFAULT_INITIAL_SCALE
+        config = MCMCConfig(steps=600, initial_scale=scale)
+        chain = mcmc_run(data, kernel, prior, 2, config, seed)
         h = hashlib.sha256()
         h.update(np.stack([G.atoms for G in chain.draws]).astype("<f8").tobytes())
         h.update(np.stack([G.weights for G in chain.draws]).astype("<f8").tobytes())
@@ -625,6 +663,34 @@ class TestMCMCRun:
         assert chain.acceptance_rate == reference.acceptance_rate
         assert chain.scale_trace == reference.scale_trace
         assert 0.05 < chain.acceptance_rate < 0.95
+
+    @pytest.mark.filterwarnings("error")
+    def test_blocks_with_invalid_proposals_match_reference(self, monkeypatch):
+        # At the ceiling scale, about 1% of the log-ratio moves of three
+        # weights underflow one to 0.0. Such a proposal is refused, and
+        # scoring it with the rest of its block warns of nothing.
+        rng = np.random.default_rng(41)
+        G0 = MixingMeasure(np.array([[0.25], [0.75]]), [0.4, 0.6])
+        data = sample_dataset(G0, BERN, [3] * 40, rng)
+        config = MCMCConfig(
+            steps=1000, burn_fraction=0.0, initial_scale=SCALE_CEILING,
+            rejection_window=1000,
+        )
+        refused = []
+
+        def spy(atoms, weights):
+            valid = valid_measures(atoms, weights)
+            refused.append(int((~valid).sum()))
+            return valid
+
+        monkeypatch.setattr(posterior, "valid_measures", spy)
+        chain = mcmc_run(data, BERN, UNIT_PRIOR, 3, config, 0)
+        reference = _reference_chain(data, BERN, UNIT_PRIOR, 3, config, 0)
+        assert sum(refused) > 0
+        assert np.array_equal(chain.atoms, reference.atoms)
+        assert np.array_equal(chain.weights, reference.weights)
+        assert chain.acceptance_rate == reference.acceptance_rate
+        assert chain.scale_trace == reference.scale_trace
 
     @pytest.mark.parametrize("length", [1, 2, 5, PROPOSAL_BLOCK])
     def test_chain_does_not_depend_on_block_length(self, monkeypatch, length):
@@ -892,6 +958,19 @@ class TestContractionExperiment:
         with pytest.raises(InvalidParameter):
             contraction_experiment(
                 BERN, self.G0, (100,), ("constant", 3), 5,
+                MCMCConfig(steps=100), 0,
+            )
+
+    def test_size_grid_needs_two_distinct_points(self, monkeypatch):
+        # One distinct m leaves the log-log fit without a slope; the grid is
+        # refused before any chain runs.
+        def no_chain(*args):
+            raise AssertionError("a chain ran")
+
+        monkeypatch.setattr(posterior, "mcmc_run", no_chain)
+        with pytest.raises(InvalidParameter, match="two distinct"):
+            contraction_experiment(
+                BERN, self.G0, (60, 60), ("constant", 3), 2,
                 MCMCConfig(steps=100), 0,
             )
 

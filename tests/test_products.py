@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import os
@@ -644,6 +645,36 @@ class TestMonteCarloChunk:
         est = _mc_estimate(G, G2, GammaKernel(), 3, which, 10**5, 3, 2, "zero")
         assert 0.0 < est.value < 1.0
         assert est.stderr > 0.0
+
+    @pytest.mark.parametrize(
+        "N, which, pinned",
+        [
+            (8, "tv", (0.11097563456564855, 0.0003039972159866797)),
+            (3, "hellinger", (0.061923162008015044, 0.00027858618745115035)),
+        ],
+    )
+    @pytest.mark.parametrize("workers", [None, 2])
+    def test_each_model_computes_its_offsets_once(
+        self, monkeypatch, N, which, pinned, workers
+    ):
+        # A model's natural parameters and log w - N A(eta) are fixed by its
+        # measure: the chunks share them, and the estimate keeps its bits.
+        kernel = GammaKernel()
+        calls = []
+        log_partition = kernel.expfam.log_partition
+
+        def counting(eta):
+            calls.append(np.shape(eta))
+            return log_partition(eta)
+
+        spec = dataclasses.replace(kernel.expfam, log_partition=counting)
+        monkeypatch.setattr(kernel, "expfam", spec)
+        G, G2 = GAMMA_PAIR
+        budget = 10**5
+        assert budget > CHUNK
+        est = _mc_estimate(G, G2, kernel, N, which, budget, 9, workers, "w")
+        assert calls == [(2, 2)] * 2
+        assert (est.value, est.stderr) == pinned
 
     def test_gamma_monte_carlo_never_calls_kernel_log_density(self, monkeypatch):
         calls = []
