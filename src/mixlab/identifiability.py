@@ -7,22 +7,18 @@ first-order checks (Gram eigenvalues, degenerate-direction residuals) for
 general kernel families.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import Polynomial
 
-from .errors import (
-    InvalidParameter,
-    QuadratureNonConvergence,
-    RootBracketingFailed,
-    check_integer,
-    check_real,
-)
+from .errors import InvalidParameter, RootBracketingFailed, check_integer, check_real
 from .kernels import (
     BernoulliKernel,
     bracketed_roots,
-    gl_nodes,
+    mixture_panels,
+    panel_rule,
     segment_boundaries,
 )
 from .measures import MixingMeasure
@@ -33,13 +29,7 @@ NULLSPACE_RESIDUAL_TOL = 1e-8
 WITNESS_MISMATCH_TOL = 1e-10
 WITNESS_WEIGHT_SUM_TOL = 1e-9
 ROOT_XTOL = 1e-14
-GRID_TAIL_EPS = 1e-12
-GRAM_BASE_PANELS = 8
-GRAM_ORDER = 16
-GRAM_MAX_DOUBLINGS = 6
-GRAM_REL_CHANGE = 0.01
-CHECK_PANELS = 32
-CHECK_ORDER = 16
+GRADE_LEVELS = 60
 
 
 @dataclass(frozen=True, eq=False)
@@ -287,6 +277,27 @@ def _explicit_grid(grid_spec, need_weights):
     return points, weights
 
 
+def _grid(kernel, atoms, spec, need_weights):
+    """An explicit grid dict, or the points of a discrete kernel with unit
+    weights, or the order-16 rule on mixture_panels over segment_boundaries
+    and a mesh halving toward each finite support end beyond them, down to
+    2**-GRADE_LEVELS of the range: the squared features may weigh much there
+    (the gamma shape score is log x) though the density does not."""
+    if isinstance(spec, dict):
+        return _explicit_grid(spec, need_weights)
+    if spec != "auto":
+        raise InvalidParameter("grid must be 'auto' or a points dict")
+    if kernel.points is not None:
+        return kernel.points, np.ones(kernel.points.size)
+    bounds = segment_boundaries(kernel, atoms)
+    lo, hi = bounds[0], bounds[-1]
+    for end in {e for atom in atoms for e in kernel.support(atom)}:
+        if math.isfinite(end) and not lo <= end <= hi:
+            steps = (hi - lo) * 0.5 ** np.arange(GRADE_LEVELS)
+            bounds += (end + np.sign(lo - end) * steps).tolist() + [end]
+    return panel_rule(mixture_panels(kernel, atoms, sorted(set(bounds))), 16)
+
+
 def _feature_matrix(kernel, atoms, points):
     """Columns per atom: the density, then its q parameter gradients."""
     dens = kernel.density(points, atoms)[:, None, :]
@@ -310,33 +321,12 @@ def first_order_gram(kernel, atoms, grid_spec="auto"):
     component densities and their parameter gradients at the given atoms.
 
     A value above tolerance certifies linear independence on the grid; a
-    value near zero flags a candidate first-order degeneracy. The automatic
-    grid enumerates the points of discrete kernels and lays Gauss-Legendre
-    panels over tail-truncated segments for continuous ones, doubling panel
-    counts until the eigenvalue stabilizes within 1%."""
+    value near zero flags a candidate first-order degeneracy. Where the
+    automatic grid's panels cannot close, at a support end where a density
+    is unbounded (gamma shape below 1, infinite Gram at shape 1/2 or less),
+    QuadratureNonConvergence names the interval they were left in."""
     atoms = kernel.check_theta(np.atleast_2d(atoms))
-    if isinstance(grid_spec, dict):
-        points, weights = _explicit_grid(grid_spec, need_weights=True)
-        return _gram_eigenvalue(kernel, atoms, points, weights)
-    if grid_spec != "auto":
-        raise InvalidParameter("grid_spec must be 'auto' or a points dict")
-    if kernel.points is not None:
-        ones = np.ones(kernel.points.size)
-        return _gram_eigenvalue(kernel, atoms, kernel.points, ones)
-    bounds = segment_boundaries(kernel, atoms, GRID_TAIL_EPS)
-    panels = GRAM_BASE_PANELS
-    previous = None
-    for _ in range(GRAM_MAX_DOUBLINGS + 1):
-        points, weights = gl_nodes(bounds, panels, GRAM_ORDER)
-        value = _gram_eigenvalue(kernel, atoms, points, weights)
-        if previous is not None and abs(value - previous) <= (
-            GRAM_REL_CHANGE * max(abs(value), 1e-12)
-        ):
-            return value
-        previous = value
-        panels *= 2
-    message = "Gram eigenvalue did not stabilize under panel doubling"
-    raise QuadratureNonConvergence(message)
+    return _gram_eigenvalue(kernel, atoms, *_grid(kernel, atoms, grid_spec, True))
 
 
 def parse_direction(kernel, k, direction):
@@ -361,19 +351,11 @@ def degenerate_direction_check(kernel, G0, direction, grid="auto"):
     mixture density scale and the direction scale.
 
     Near-zero output certifies the direction as a first-order degeneracy of
-    the atom set; a generic direction yields an order-one value."""
+    the atom set; a generic direction yields an order-one value. The
+    automatic grid is first_order_gram's."""
     atoms = kernel.check_theta(G0.atoms)
     a, b = parse_direction(kernel, atoms.shape[0], direction)
-    if isinstance(grid, dict):
-        points, _ = _explicit_grid(grid, need_weights=False)
-    elif grid == "auto":
-        if kernel.points is not None:
-            points = kernel.points
-        else:
-            bounds = segment_boundaries(kernel, atoms, GRID_TAIL_EPS)
-            points, _ = gl_nodes(bounds, CHECK_PANELS, CHECK_ORDER)
-    else:
-        raise InvalidParameter("grid must be 'auto' or a points dict")
+    points, _ = _grid(kernel, atoms, grid, need_weights=False)
     dens = kernel.density(points, atoms)
     grads = kernel.grad_density(points, atoms)
     residual = b @ dens + np.einsum("iq,iqn->n", a, grads)

@@ -817,51 +817,43 @@ def hellinger_expfam(spec, theta1, theta2):
     return math.sqrt(max(h2, 0.0))
 
 
-def segment_boundaries(kernel, atoms, tail_eps):
-    """Integration boundaries for the kernels at all atoms: the union of
-    their finite tail bounds, cut at every finite support end strictly
+def segment_boundaries(kernel, atoms):
+    """Integration boundaries for the kernels at all atoms: every atom's own
+    TAIL_EPS tail bounds, so that no component narrower than the union falls
+    between the nodes of a panel, cut at every finite support end strictly
     inside, where a density may jump."""
-    los, his, cuts = [], [], set()
+    ends, cuts = set(), set()
     for atom in np.reshape(atoms, (-1, kernel.q)):
-        lo, hi = kernel.tail_bounds(atom, tail_eps)
-        los.append(lo)
-        his.append(hi)
+        ends.update(kernel.tail_bounds(atom, TAIL_EPS))
         cuts.update(end for end in kernel.support(atom) if math.isfinite(end))
-    lo, hi = min(los), max(his)
-    return [lo] + sorted(c for c in cuts if lo < c < hi) + [hi]
-
-
-def gl_nodes(boundaries, panels_per_segment, order):
-    """Nodes and weights of the order-point Gauss-Legendre rule on each of
-    panels_per_segment equal panels of every segment between boundaries,
-    in order; the panel edges are np.linspace's, bit for bit."""
-    base_x, base_w = gauss_legendre(order)
-    a, b = np.array(boundaries[:-1], float), np.array(boundaries[1:], float)
-    steps = np.arange(panels_per_segment + 1.0)
-    edges = steps * ((b - a) / panels_per_segment)[:, None] + a[:, None]
-    edges[:, -1] = b
-    lo, hi = edges[:, :-1].reshape(-1, 1), edges[:, 1:].reshape(-1, 1)
-    half = 0.5 * (hi - lo)
-    return (0.5 * (lo + hi) + half * base_x).ravel(), (half * base_w).ravel()
+    lo, hi = min(ends), max(ends)
+    return sorted(ends.union(c for c in cuts if lo < c < hi))
 
 
 def integrate_panels(fun, boundaries):
     """Integral of a vectorised fun over the segments between boundaries by
-    adaptive Gauss-Legendre panels, and the number of nodes it took. Each
-    pass evaluates the order-8 and order-16 nodes of all open panels in one
-    call, closes those whose rules agree within PANEL_TOL times their share
-    of the width (or PANEL_ULPS ulps of their value) or that are narrower
-    than PANEL_ULPS ulps of their ends, and bisects the rest. Raises
-    QuadratureNonConvergence past PANEL_TARGET of error left on the narrow
-    panels, PANEL_LEVELS passes or PANEL_OPEN_MAX open panels."""
+    adaptive Gauss-Legendre panels, the number of nodes it took and the
+    closed panels (lo, hi). Each pass evaluates the order-8 and order-16
+    nodes of all open panels in one call, closes those whose rules agree
+    within PANEL_TOL times their share of the width (or PANEL_ULPS ulps of
+    their value) or that are narrower than PANEL_ULPS ulps of their ends,
+    and bisects the rest. Past PANEL_TARGET of error left on the narrow
+    panels, PANEL_LEVELS passes or PANEL_OPEN_MAX open panels it raises
+    QuadratureNonConvergence naming the interval of the unresolved ones."""
     lo, hi = np.array(boundaries[:-1], float), np.array(boundaries[1:], float)
     (x8, w8), (x16, w16) = gauss_legendre(8), gauss_legendre(16)
     tol = PANEL_TOL / (hi[-1] - lo[0])
     total = unresolved = 0.0
     nodes = 0
+    panels = []
+
+    def refuse(why, lo, hi):
+        where = f"[{float(lo.min())!r}, {float(hi.max())!r}]"
+        raise QuadratureNonConvergence(f"{why}, all in {where}")
+
     for _ in range(PANEL_LEVELS):
         if lo.size > PANEL_OPEN_MAX:
-            raise QuadratureNonConvergence(f"more than {PANEL_OPEN_MAX} open panels")
+            refuse(f"more than {PANEL_OPEN_MAX} open panels", lo, hi)
         mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
         vals = fun(mid[:, None] + half[:, None] * np.concatenate([x8, x16]))
         nodes += vals.size
@@ -871,14 +863,32 @@ def integrate_panels(fun, boundaries):
         narrow = hi - lo <= PANEL_ULPS * np.spacing(np.maximum(abs(lo), abs(hi)))
         unresolved += err[narrow & ~done].sum()
         if unresolved > PANEL_TARGET:
-            raise QuadratureNonConvergence(f"{unresolved:.2e} of error left unresolved")
+            left = narrow & ~done
+            refuse(f"{unresolved:.2e} of error left unresolved", lo[left], hi[left])
         closed = done | narrow
         total += g16[closed].sum()
+        panels.append((lo[closed], hi[closed]))
         if closed.all():
-            return float(total), nodes
+            return float(total), nodes, tuple(map(np.concatenate, zip(*panels)))
         lo, mid, hi = lo[~closed], mid[~closed], hi[~closed]
         lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
-    raise QuadratureNonConvergence(f"no convergence in {PANEL_LEVELS} passes")
+    refuse(f"no convergence in {PANEL_LEVELS} passes", lo, hi)
+
+
+def mixture_panels(kernel, atoms, boundaries):
+    """The closed panels (lo, hi) of integrate_panels on the summed density
+    of the kernels at atoms (k, q) over boundaries, on which every other
+    continuous grid is laid: narrow where some component is narrow or steep."""
+    return integrate_panels(lambda x: kernel.density(x, atoms).sum(0), boundaries)[2]
+
+
+def panel_rule(panels, order):
+    """Nodes and weights of the order-point Gauss-Legendre rule on each of
+    the panels (lo, hi)."""
+    lo, hi = panels
+    base_x, base_w = gauss_legendre(order)
+    mid, half = 0.5 * (lo + hi)[:, None], 0.5 * (hi - lo)[:, None]
+    return (mid + half * base_x).ravel(), (half * base_w).ravel()
 
 
 def bracketed_roots(f, lo, hi, xtol, maxiter=100):
@@ -938,13 +948,9 @@ def mixture_divergence(kernel, atoms, weights, atoms2, weights2, which):
     """TV, Hellinger distance or KL between the kernel mixtures (atoms,
     weights) and (atoms2, weights2), and the number of integrand nodes: a
     sum over kernel.points for discrete kernels, else integrate_panels over
-    the union of the TAIL_EPS tail bounds, cut at finite support ends, at
-    each atom's own tail bounds and, for TV, where the two densities cross
-    (a sign scan of CROSSING_SCAN interior points per segment, refined
-    together by bracketed_roots). The per-atom cuts give each component
-    segments of its own width: a component far narrower than the union
-    could otherwise fall between the nodes of a panel that both rules then
-    read as zero."""
+    the segment_boundaries of all atoms, cut for TV also where the two
+    densities cross (a sign scan of CROSSING_SCAN interior points per
+    segment, refined together by bracketed_roots)."""
     both = np.concatenate([atoms, atoms2])
     log_w = np.log(np.concatenate([weights, weights2]))
     k = len(atoms)
@@ -970,8 +976,7 @@ def mixture_divergence(kernel, atoms, weights, atoms2, weights2, which):
     if kernel.points is not None:
         value, nodes = float(integrand(kernel.points).sum()), kernel.points.size
     else:
-        ends = [end for atom in both for end in kernel.tail_bounds(atom, TAIL_EPS)]
-        bounds = sorted(set(segment_boundaries(kernel, both, TAIL_EPS)).union(ends))
+        bounds = segment_boundaries(kernel, both)
         if which == "tv":
             a, b = np.array(bounds[:-1]), np.array(bounds[1:])
             t = np.arange(1, CROSSING_SCAN + 1) / (CROSSING_SCAN + 1)
@@ -984,7 +989,7 @@ def mixture_divergence(kernel, atoms, weights, atoms2, weights2, which):
             lo, hi = ends[:-1][cross], ends[1:][cross]
             bounds += bracketed_roots(diff, lo, hi, CROSSING_XTOL).tolist()
             bounds.sort()
-        value, nodes = integrate_panels(integrand, bounds)
+        value, nodes, _ = integrate_panels(integrand, bounds)
     value = max(value, 0.0)
     return (math.sqrt(value) if which == "hellinger" else value), nodes
 

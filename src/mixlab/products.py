@@ -22,9 +22,10 @@ from .errors import (
 from .kernels import (
     TAIL_EPS,
     divergence_numeric,
-    gl_nodes,
     logsumexp,
     mixture_divergence,
+    mixture_panels,
+    panel_rule,
     segment_boundaries,
 )
 from .measures import PERMUTATION_MAX, permutation_totals
@@ -33,7 +34,8 @@ from .rng import CHUNK, chunk_sizes, chunk_stream
 MC_DEFAULT_BUDGET = 10**6
 MC_MIN_BUDGET = 10**4
 TENSOR_TOL = 1e-7
-TENSOR_BLOCK_ENTRIES = 2**22
+TENSOR_PANELS_MAX = 2048
+TENSOR_BLOCK_ENTRIES = 2**20
 
 
 class ProductMixtureModel:
@@ -258,49 +260,65 @@ def tv_upper_bound(G, G2, kernel, N):
 
 
 def _tensor_integral(G, G2, kernel, which, nodes, weights):
-    """Integral over the node grid squared of the N = 2 integrand, summed
-    over row blocks of at most TENSOR_BLOCK_ENTRIES node pairs."""
-    V = kernel.density(nodes, G.atoms)
-    W = kernel.density(nodes, G2.atoms)
-    Vw = V * G.weights[:, None]
-    Ww = W * G2.weights[:, None]
+    """Integral over the node grid squared of the symmetric N = 2 integrand:
+    row blocks of at most TENSOR_BLOCK_ENTRIES node pairs, each from the
+    diagonal rightward, counting the part right of it twice."""
+    V, W = kernel.density(nodes, G.atoms), kernel.density(nodes, G2.atoms)
+    Vw, Ww = V * G.weights[:, None], W * G2.weights[:, None]
+    if which == "tv":
+        # A - B is one product of the stacked rows.
+        Vw, V = np.concatenate([Vw, -Ww]), np.concatenate([V, W])
     rows = max(1, TENSOR_BLOCK_ENTRIES // nodes.size)
     total = 0.0
     for lo in range(0, nodes.size, rows):
-        block = slice(lo, lo + rows)
-        A = Vw[:, block].T @ V
-        B = Ww[:, block].T @ W
+        hi = min(lo + rows, nodes.size)
+        A = Vw[:, lo:hi].T @ V[:, lo:]
         if which == "tv":
-            M = 0.5 * np.abs(A - B)
+            M = np.abs(A, out=A)
         else:
-            M = 0.5 * (np.sqrt(np.maximum(A, 0)) - np.sqrt(np.maximum(B, 0))) ** 2
-        total += weights[block] @ M @ weights
-    return float(total)
+            B = Ww[:, lo:hi].T @ W[:, lo:]
+            M = (np.sqrt(np.maximum(A, 0)) - np.sqrt(np.maximum(B, 0))) ** 2
+        w = weights[lo:hi]
+        total += w @ M[:, : hi - lo] @ w + 2 * (w @ M[:, hi - lo :] @ weights[hi:])
+    return 0.5 * float(total)
+
+
+def _tensor_start(kernel, atoms):
+    """The mixture_panels of atoms in order, adjacent runs merged while the
+    summed density gives them at most TAIL_EPS, what a tail cut drops: the
+    cascades toward a steep support end (beta_pushforward, alpha * xi ~ 1)."""
+    lo, hi = mixture_panels(kernel, atoms, segment_boundaries(kernel, atoms))
+    lo, hi = lo[np.argsort(lo)], np.sort(hi)
+    x, w = panel_rule((lo, hi), 16)
+    mass = (w * kernel.density(x, atoms).sum(axis=0)).reshape(lo.size, -1).sum(axis=1)
+    starts, run = [0], mass[0]
+    for i in range(1, lo.size):
+        if run + mass[i] > TAIL_EPS:
+            starts.append(i)
+            run = 0.0
+        run += mass[i]
+    return lo[starts], np.append(lo[starts[1:]], hi[-1])
 
 
 def _quadrature_estimate_n2(G, G2, kernel, which):
-    bounds = segment_boundaries(
-        kernel, np.concatenate([G.atoms, G2.atoms]), TAIL_EPS
-    )
-    panels = max(1, 64 // (len(bounds) - 1))
-    for _ in range(6):
-        x8, w8 = gl_nodes(bounds, panels, 8)
-        x16, w16 = gl_nodes(bounds, panels, 16)
-        coarse = _tensor_integral(G, G2, kernel, which, x8, w8)
-        fine = _tensor_integral(G, G2, kernel, which, x16, w16)
+    """The N = 2 integral by the order-16 tensor rule on _tensor_start's
+    panels, all bisected until the order-8 rule agrees within TENSOR_TOL,
+    refusing more than TENSOR_PANELS_MAX panels before laying a rule."""
+    lo, hi = _tensor_start(kernel, np.concatenate([G.atoms, G2.atoms]))
+    while lo.size <= TENSOR_PANELS_MAX:
+        coarse, fine = (
+            _tensor_integral(G, G2, kernel, which, *panel_rule((lo, hi), order))
+            for order in (8, 16)
+        )
         if abs(fine - coarse) < TENSOR_TOL:
-            value = fine
-            if which == "hellinger":
-                value = math.sqrt(max(value, 0.0))
-            return DivergenceEstimate(
-                value=min(max(value, 0.0), 1.0),
-                stderr=0.0,
-                method="quadrature",
-                n=x16.size**2,
-            )
-        panels *= 2
+            value = math.sqrt(max(fine, 0.0)) if which == "hellinger" else fine
+            value = min(max(value, 0.0), 1.0)
+            return DivergenceEstimate(value, 0.0, "quadrature", (16 * lo.size) ** 2)
+        mid = 0.5 * (lo + hi)
+        lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
     raise QuadratureNonConvergence(
-        f"tensor quadrature failed to converge below {TENSOR_TOL}"
+        f"tensor quadrature failed to converge below {TENSOR_TOL} "
+        f"within {TENSOR_PANELS_MAX} panels"
     )
 
 
@@ -387,8 +405,8 @@ def estimate_divergence(
     N draws to one draw of a 1-D sufficient statistic where the kernel has
     one (which leaves TV and Hellinger unchanged), then runs the N = 1
     engine (exact enumeration over kernel.points for discrete kernels,
-    quadrature otherwise), the N = 2 tensor grid, and above that
-    balanced-mixture Monte Carlo."""
+    quadrature otherwise), at N = 2 the tensor rule on the 1-D engine's
+    mixture_panels, and above that balanced-mixture Monte Carlo."""
     which = which.lower() if isinstance(which, str) else which
     if which not in ("tv", "hellinger"):
         raise InvalidParameter(f"unknown divergence which={which!r}")

@@ -58,6 +58,27 @@ def test_no_second_quadrature_engine(path):
     assert [name for name in names if name.startswith("scipy.integrate")] == []
 
 
+def test_only_kernels_reaches_gauss_legendre_rules():
+    """Every continuous grid is laid by kernels.py on the panels of its 1-D
+    engine: no other module reaches a Gauss-Legendre rule, so none lays a
+    second grid."""
+    rules = {"gauss_legendre", "leggauss"}
+    users = []
+    for path in PACKAGE:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        names = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names.update(alias.name.split(".")[-1] for alias in node.names)
+        if names & rules:
+            users.append(path.name)
+    assert users == ["kernels.py"]
+
+
 @pytest.mark.parametrize(
     "path",
     sorted(pathlib.Path(mixlab.__file__).parent.rglob("*.py")),

@@ -34,16 +34,18 @@ from mixlab.kernels import (
     gamma_quantile,
     gammaln,
     gauss_legendre,
-    gl_nodes,
     KERNEL_BUILDERS,
     hellinger_expfam,
     integrate_panels,
     kernel_from_spec,
     logsumexp,
     mixture_divergence,
+    mixture_panels,
     moment_map,
     norm_ppf,
+    panel_rule,
     segment_boundaries,
+    TAIL_EPS,
 )
 
 
@@ -801,19 +803,6 @@ class TestSpecialFunctions:
             GaussianLocationKernel().tail_bounds([0.0], eps)
 
 
-def gl_nodes_by_panel(boundaries, panels_per_segment, order):
-    """Gauss-Legendre nodes and weights built one panel at a time."""
-    base_x, base_w = np.polynomial.legendre.leggauss(order)
-    xs, ws = [], []
-    for a, b in zip(boundaries[:-1], boundaries[1:]):
-        edges = np.linspace(a, b, panels_per_segment + 1)
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            half = 0.5 * (hi - lo)
-            xs.append(0.5 * (lo + hi) + half * base_x)
-            ws.append(half * base_w)
-    return np.concatenate(xs), np.concatenate(ws)
-
-
 class TestGaussLegendre:
     def test_rules_are_cached_and_read_only(self):
         nodes, weights = gauss_legendre(16)
@@ -822,12 +811,26 @@ class TestGaussLegendre:
         want = np.polynomial.legendre.leggauss(16)
         assert np.array_equal(nodes, want[0]) and np.array_equal(weights, want[1])
 
-    @pytest.mark.parametrize("panels", [1, 3, 64])
-    @pytest.mark.parametrize("order", [8, 16, 32])
-    def test_nodes_are_bit_identical_to_the_panel_loop(self, panels, order):
-        gamma = segment_boundaries(GammaKernel(), [[2.0, 3.0], [3.0, 3.1]], 1e-13)
-        uniform = segment_boundaries(UniformKernel(), [[0.5], [2.0]], 1e-13)
-        for bounds in ([0.0, 1.0], [-3.2, 0.1, 7.5], [1.0, 1.0, 2.0], gamma, uniform):
-            got = gl_nodes(bounds, panels, order)
-            want = gl_nodes_by_panel(bounds, panels, order)
-            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    @pytest.mark.parametrize(
+        "kernel, atoms",
+        [
+            (GammaKernel(), [[2.0, 3.0], [3.0, 3.1]]),
+            (UniformKernel(), [[0.5], [2.0]]),
+            (LocScaleExponentialKernel(), [[0.0, 1e-6], [5.0, 1.0], [0.0, 2.0]]),
+        ],
+        ids=["gamma", "uniform", "narrow_locscale"],
+    )
+    def test_mixture_panels_tile_the_boundaries(self, kernel, atoms):
+        bounds = segment_boundaries(kernel, atoms)
+        ends = [end for atom in atoms for end in kernel.tail_bounds(atom, TAIL_EPS)]
+        assert set(ends) <= set(bounds)
+        lo, hi = mixture_panels(kernel, atoms, bounds)
+        order = np.argsort(lo)
+        lo, hi = lo[order], hi[order]
+        assert lo[0] == bounds[0] and hi[-1] == bounds[-1]
+        assert np.array_equal(lo[1:], hi[:-1])
+        assert set(bounds) <= set(lo) | {hi[-1]}
+        # The order-16 rule on the panels integrates the summed density.
+        x, w = panel_rule((lo, hi), 16)
+        mass = w @ kernel.density(x, atoms).sum(axis=0)
+        assert mass == pytest.approx(len(atoms), abs=1e-9)

@@ -5,11 +5,13 @@ import os
 import subprocess
 import sys
 import textwrap
+import time
 
 import numpy as np
 import pytest
 
 import mixlab
+import mixlab.products as products
 from mixlab.errors import (
     BudgetExceeded,
     InvalidParameter,
@@ -22,9 +24,13 @@ from mixlab.kernels import (
     BetaPushforwardKernel,
     GammaKernel,
     GaussianLocationKernel,
+    TAIL_EPS,
     KernelFamily,
     UniformKernel,
     logsumexp,
+    mixture_panels,
+    panel_rule,
+    segment_boundaries,
 )
 from mixlab.measures import MixingMeasure
 from mixlab.products import (
@@ -34,6 +40,7 @@ from mixlab.products import (
     _mc_chunk,
     _mc_estimate,
     _quadrature_estimate_n2,
+    _tensor_start,
     d_mh,
     estimate_divergence,
     hellinger_upper_bound,
@@ -607,6 +614,61 @@ def reference_chunk(modelP, modelQ, which, size, rng):
             vals = 1.0 - 1.0 / np.cosh(d / 2.0)
     vals = np.where(np.isnan(d), 1.0, vals)
     return float(vals.sum()), float((vals**2).sum()), X
+
+
+class TestTensorPanels:
+    """The N = 2 rung's panel set: the 1-D engine's panels with light runs
+    merged, and a cap checked before any rule is laid on a panel set."""
+
+    def test_start_merges_only_light_runs(self):
+        kernel = BetaPushforwardKernel(0.3)
+        atoms = np.array([[0.5, 3.34, 10.0], [0.4, 3.7, 17.0]])
+        bounds = segment_boundaries(kernel, atoms)
+        raw_lo, raw_hi = mixture_panels(kernel, atoms, bounds)
+        lo, hi = _tensor_start(kernel, atoms)
+        # At alpha * xi = 1.002 the 1-D engine's panels cascade toward 0.
+        assert raw_lo.size > 1000 and lo.size < 100
+        assert lo[0] == bounds[0] and hi[-1] == bounds[-1]
+        assert np.array_equal(lo[1:], hi[:-1])
+        assert set(lo) <= set(raw_lo)
+        # Each run of more than one panel weighs at most TAIL_EPS.
+        x, w = panel_rule((raw_lo, raw_hi), 16)
+        mass = (w * kernel.density(x, atoms).sum(axis=0)).reshape(-1, 16).sum(axis=1)
+        run = np.searchsorted(lo, raw_lo, side="right") - 1
+        runs = np.bincount(run) > 1
+        assert runs.any()
+        assert np.bincount(run, mass)[runs].max() <= TAIL_EPS
+
+    def test_cap_is_checked_before_any_rule(self, monkeypatch):
+        laid = []
+
+        def spy(G, G2, kernel, which, nodes, weights):
+            laid.append(nodes.size)
+            return tensor_integral(G, G2, kernel, which, nodes, weights)
+
+        tensor_integral = products._tensor_integral
+        monkeypatch.setattr(products, "_tensor_integral", spy)
+        G, G2 = GAUSS3
+        start = _tensor_start(GAUSS, np.concatenate([G.atoms, G2.atoms]))[0].size
+        monkeypatch.setattr(products, "TENSOR_PANELS_MAX", start - 1)
+        with pytest.raises(QuadratureNonConvergence, match=f"within {start - 1} "):
+            _quadrature_estimate_n2(G, G2, GAUSS, "tv")
+        assert laid == []
+        monkeypatch.setattr(products, "TENSOR_PANELS_MAX", start)
+        with pytest.raises(QuadratureNonConvergence):
+            _quadrature_estimate_n2(G, G2, GAUSS, "tv")
+        assert max(laid) == 16 * start
+
+    def test_start_above_the_cap_is_refused_promptly(self):
+        # 100 narrow atoms a side give more than TENSOR_PANELS_MAX panels.
+        kernel = GaussianLocationKernel(0.01)
+        atoms = np.arange(100.0)[:, None]
+        G = MixingMeasure(atoms, np.full(100, 0.01))
+        G2 = MixingMeasure(atoms + 0.5, np.full(100, 0.01))
+        start = time.perf_counter()
+        with pytest.raises(QuadratureNonConvergence, match="within 2048 panels"):
+            _quadrature_estimate_n2(G, G2, kernel, "tv")
+        assert time.perf_counter() - start < 5.0
 
 
 class TestMonteCarloChunk:
