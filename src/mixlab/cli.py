@@ -16,9 +16,12 @@ def _resolve_workers(cli_value):
     if env is None:
         return None
     try:
-        return int(env)
+        workers = int(env)
     except ValueError as err:
         raise SchemaError("LAB_WORKERS", f"not an integer: {env!r}") from err
+    if workers < 1:
+        raise SchemaError("LAB_WORKERS", "must be >= 1")
+    return workers
 
 
 def _execute(subcommand, config_path, seed, workers, out):

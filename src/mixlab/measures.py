@@ -23,6 +23,8 @@ from .errors import (
 WEIGHT_TOL = 1e-12
 TIE_TOL = 1e-12
 PERMUTATION_MAX = 7
+# least_matchings gathers at most this many costs per block of a stack.
+SCAN_BLOCK_ENTRIES = 2**22
 TRANSPORT_TOL = 1e-12
 
 
@@ -109,19 +111,27 @@ def least_matchings(cost):
     """The least total over matchings of each (..., k, k) cost and a
     permutation attaining it: values (...) and perms (..., k), row i matched
     to column perms[..., i]. Up to PERMUTATION_MAX the permutation scan
-    picks the lexicographically first optimum. Above it the transportation
-    simplex runs at unit supplies, where flows stay 0 or 1 and so form a
-    permutation, in about 0.3 / 0.9 / 2.5 / 13 ms at k = 8 / 12 / 20 / 40."""
+    picks the lexicographically first optimum, in blocks of the stack that
+    gather at most SCAN_BLOCK_ENTRIES costs, so a stack of any size scans in
+    bounded memory. Above it the transportation simplex solves each cost at
+    unit supplies, where flows stay 0 or 1 and so form a permutation, in
+    about 0.3 / 0.9 / 2.5 / 13 ms at k = 8 / 12 / 20 / 40."""
     k = cost.shape[-1]
+    flat = cost.reshape((-1, k, k))
+    values, perms = np.empty(len(flat)), np.empty((len(flat), k), dtype=np.intp)
     if k <= PERMUTATION_MAX:
-        totals = permutation_totals(cost)
-        return totals.min(axis=-1), permutation_table(k)[totals.argmin(axis=-1)]
-    ones = np.ones(k)
-    perms = np.empty(cost.shape[:-1], dtype=np.intp)
-    for index in np.ndindex(cost.shape[:-2]):
-        perms[index] = _transport_plan(cost[index], ones, ones).argmax(axis=1)
-    values = np.take_along_axis(cost, perms[..., None], axis=-1)[..., 0].sum(axis=-1)
-    return values, perms
+        table = permutation_table(k)
+        rows = max(1, SCAN_BLOCK_ENTRIES // table.size)
+        for lo in range(0, len(flat), rows):
+            totals = permutation_totals(flat[lo : lo + rows])
+            values[lo : lo + rows] = totals.min(axis=-1)
+            perms[lo : lo + rows] = table[totals.argmin(axis=-1)]
+    else:
+        ones = np.ones(k)
+        for t, square in enumerate(flat):
+            perms[t] = _transport_plan(square, ones, ones).argmax(axis=1)
+            values[t] = square[np.arange(k), perms[t]].sum()
+    return values.reshape(cost.shape[:-2]), perms.reshape(cost.shape[:-1])
 
 
 def canonical_order(atoms):

@@ -25,11 +25,9 @@ from .errors import (
 )
 from .kernels import logsumexp
 from .measures import (
-    PERMUTATION_MAX,
     MixingMeasure,
     canonical_order,
     least_matchings,
-    permutation_totals,
     valid_measures,
 )
 from .products import ExchangeableDataset, sample_dataset
@@ -57,7 +55,7 @@ LOG_FLOOR = 1e-300
 # (one core of a 2-CPU Xeon, numpy 2.4).
 PROPOSAL_BLOCK = 8
 BLOCK_OVERHEAD_CELLS = 1600
-# The error summary takes at most this many array entries per block of draws.
+# The error summary's blocks of draws hold at most this many atom differences.
 MATCHING_BLOCK_ENTRIES = 2**22
 
 
@@ -434,42 +432,28 @@ def mcmc_run(dataset, kernel, prior, k0, config, rng):
 
 
 def _matched_errors(chain, G0, N):
-    """Per-draw distances to the truth.
-
-    The mixed metric minimizes over matchings on its own; the atom and
-    weight errors are the two components of the single best matching of
-    each draw to the truth, so one matching explains all three numbers.
-    Draws go in blocks of at most MATCHING_BLOCK_ENTRIES array entries. Up
-    to PERMUTATION_MAX every permutation's atom and weight totals are summed
-    apart, as the distances are; above it least_matchings solves each draw.
-    """
+    """Per-draw distances to the truth. D_N is the draw's distance_DN, bit
+    for bit, with the draw's atoms as cost rows. The atom and weight errors
+    are the two components of the single best matching under atom plus
+    weight distance, so one matching explains both. Draws go in blocks of at
+    most MATCHING_BLOCK_ENTRIES atom-coordinate differences; least_matchings
+    bounds its own scan memory within a block."""
     k = G0.k
     atoms, weights = chain.atoms, chain.weights
     n = len(atoms)
     root_n = math.sqrt(float(N))
     d_mix, d_atom, d_weight = np.empty(n), np.empty(n), np.empty(n)
-    # Per draw: k * k * q differences, and k * k! gathered costs up to PERMUTATION_MAX.
-    per_draw = k * max(k * G0.q, math.factorial(min(k, PERMUTATION_MAX)))
-    rows = max(1, MATCHING_BLOCK_ENTRIES // per_draw)
+    rows = max(1, MATCHING_BLOCK_ENTRIES // (k * k * G0.q))
     for lo in range(0, n, rows):
         block = slice(lo, lo + rows)
-        # [t, i, j] pairs the truth's atom i with atom j of draw t.
-        dist = np.stack(
-            [np.sqrt(((a - atoms[block]) ** 2).sum(axis=-1)) for a in G0.atoms], axis=1
-        )
-        gap = np.stack([np.abs(w - weights[block]) for w in G0.weights], axis=1)
-        if k <= PERMUTATION_MAX:
-            atom_total, weight_total = permutation_totals(dist), permutation_totals(gap)
-            d_mix[block] = (root_n * atom_total + weight_total).min(axis=-1)
-            best = (atom_total + weight_total).argmin(axis=-1)[:, None]
-            d_atom[block] = np.take_along_axis(atom_total, best, axis=-1)[:, 0]
-            d_weight[block] = np.take_along_axis(weight_total, best, axis=-1)[:, 0]
-        else:
-            # Rows are the draw's atoms here, as in distance_DN.
-            d_mix[block] = least_matchings((root_n * dist + gap).swapaxes(1, 2))[0]
-            perm = least_matchings(dist + gap)[1][:, :, None]
-            d_atom[block] = np.take_along_axis(dist, perm, axis=2)[..., 0].sum(axis=1)
-            d_weight[block] = np.take_along_axis(gap, perm, axis=2)[..., 0].sum(axis=1)
+        # [t, i, j] pairs atom i of draw t with the truth's atom j.
+        diff = atoms[block, :, None, :] - G0.atoms
+        dist = np.sqrt((diff**2).sum(axis=-1))
+        gap = np.abs(weights[block, :, None] - G0.weights)
+        d_mix[block] = least_matchings(root_n * dist + gap)[0]
+        perm = least_matchings(dist + gap)[1][:, :, None]
+        d_atom[block] = np.take_along_axis(dist, perm, axis=2)[..., 0].sum(axis=1)
+        d_weight[block] = np.take_along_axis(gap, perm, axis=2)[..., 0].sum(axis=1)
     return d_mix, d_atom, d_weight
 
 

@@ -155,7 +155,7 @@ class ExchangeableDataset:
     @classmethod
     def from_jsonl(cls, path):
         """One {"seq": [numbers]} object per line; InvalidParameter names the
-        path and the 1-based line of the first bad line."""
+        path, and the 1-based line of the first bad line if any."""
         seqs = []
         with open(path) as fh:
             for number, line in enumerate(fh, start=1):
@@ -173,6 +173,8 @@ class ExchangeableDataset:
                     raise InvalidParameter(message) from err
                 except (TypeError, InvalidParameter) as err:
                     raise InvalidParameter(f"{path}, line {number}: {err}") from err
+        if not seqs:
+            raise InvalidParameter(f"{path}: dataset needs at least one sequence")
         return cls(sequences=seqs, seed=None)
 
 
@@ -355,11 +357,8 @@ def _mc_estimate(G, G2, kernel, N, which, budget, seed, workers, label):
         rng = chunk_stream(seed, label, c)
         return _mc_chunk(modelP, modelQ, which, sizes[c], rng)
 
-    if workers and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_chunk, range(len(sizes))))
-    else:
-        results = [run_chunk(c) for c in range(len(sizes))]
+    with ThreadPoolExecutor(max_workers=workers or 1) as pool:
+        results = list(pool.map(run_chunk, range(len(sizes))))
 
     total = sum(sizes)
     s1 = 0.0

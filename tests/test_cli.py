@@ -448,6 +448,18 @@ class TestCLI:
         assert result.exit_code == 1
         assert "LAB_WORKERS" in result.output
 
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_lab_workers_below_one_names_the_variable(self, tmp_path, value):
+        runner = CliRunner()
+        config = self.write_config(tmp_path, TestDeterminism.MC_DOC)
+        result = runner.invoke(
+            main,
+            ["divergence", "--config", config],
+            env={"LAB_WORKERS": value},
+        )
+        assert result.exit_code == 1
+        assert "error: LAB_WORKERS: must be >= 1" in result.output
+
     def test_missing_config_file(self, tmp_path):
         runner = CliRunner()
         result = runner.invoke(

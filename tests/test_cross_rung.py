@@ -5,7 +5,10 @@ k = 2 atoms are drawn from the stated ranges, narrow components against wide
 ones included. At N = 1 (the 1-D engine) and N = 2 (the tensor rung) every
 pair must satisfy H^2 <= TV <= H sqrt(2 - H^2) (Le Cam 1986; Tsybakov 2009,
 section 2.4), and neither divergence may fall from N = 1 to N = 2, since the
-first coordinate of a pair is a function of the pair. The fixed rows are
+first coordinate of a pair is a function of the pair. A few N = 2 cells
+must also agree with balanced-mixture Monte Carlo at N = 2 within 4
+standard errors, for gamma and for two families without an exponential
+family form. The fixed rows are
 cases that a uniform grid over the union of the tails used to miss, and
 Beta pairs just above alpha * xi = 1, where the 1-D engine's panels cascade
 toward 0."""
@@ -26,7 +29,7 @@ from mixlab.kernels import (
     UniformKernel,
 )
 from mixlab.measures import MixingMeasure
-from mixlab.products import TENSOR_TOL, estimate_divergence
+from mixlab.products import TENSOR_TOL, _mc_estimate, estimate_divergence
 
 # Both rungs agree with the truth to about TENSOR_TOL; the checks compare
 # squared distances, which that error moves by at most a few times as much.
@@ -118,6 +121,20 @@ def test_random_pairs_keep_the_invariants(family):
         assert_between_bounds(tv2, h2_2)
         assert tv2 >= tv1 - SLACK
         assert h2_2 >= h2_1 - SLACK
+
+
+@pytest.mark.parametrize(
+    "family", ["gamma", "gaussian_location_mixture", "locscale_exponential"]
+)
+def test_tensor_rung_agrees_with_monte_carlo(family):
+    rng = np.random.default_rng([22, sorted(FAMILIES).index(family)])
+    for _ in range(2):
+        kernel, G, G2 = draw_pair(rng, family)
+        for which in ("tv", "hellinger"):
+            value = estimate_divergence(G, G2, kernel, 2, which).value
+            label = f"cross-rung/{which}"
+            mc = _mc_estimate(G, G2, kernel, 2, which, 20000, 5, None, label)
+            assert abs(mc.value - value) < 4 * mc.stderr
 
 
 @pytest.mark.parametrize("scale", [1e-6, 1e-4, 1e-2])

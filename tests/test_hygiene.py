@@ -58,25 +58,40 @@ def test_no_second_quadrature_engine(path):
     assert [name for name in names if name.startswith("scipy.integrate")] == []
 
 
+def named(path):
+    """Every name that path reads, imports or reaches as an attribute."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(alias.name.split(".")[-1] for alias in node.names)
+    return names
+
+
 def test_only_kernels_reaches_gauss_legendre_rules():
     """Every continuous grid is laid by kernels.py on the panels of its 1-D
     engine: no other module reaches a Gauss-Legendre rule, so none lays a
     second grid."""
     rules = {"gauss_legendre", "leggauss"}
-    users = []
-    for path in PACKAGE:
-        tree = ast.parse(path.read_text(), filename=str(path))
-        names = set()
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                names.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                names.add(node.attr)
-            elif isinstance(node, (ast.Import, ast.ImportFrom)):
-                names.update(alias.name.split(".")[-1] for alias in node.names)
-        if names & rules:
-            users.append(path.name)
-    assert users == ["kernels.py"]
+    assert [path.name for path in PACKAGE if named(path) & rules] == ["kernels.py"]
+
+
+def test_one_matching_engine():
+    """least_matchings matches stacks of any size within a bounded scan
+    memory: the posterior summary names neither the permutation scan nor
+    its size cap, and outside measures.py only products.py, whose
+    bottleneck bound needs every permutation's total, reaches the scan."""
+    posterior = pathlib.Path(mixlab.__file__).parent / "posterior.py"
+    assert named(posterior) & {"permutation_totals", "PERMUTATION_MAX"} == set()
+    users = [
+        path.name
+        for path in PACKAGE
+        if path.name != "measures.py" and "permutation_totals" in named(path)
+    ]
+    assert users == ["products.py"]
 
 
 @pytest.mark.parametrize(

@@ -1,10 +1,15 @@
 import itertools
+import os
+import subprocess
+import sys
+import textwrap
 import warnings
 
 import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment, linprog
 
+import mixlab
 from mixlab.errors import InvalidMeasure, InvalidParameter, MismatchedSupportSize
 from mixlab.measures import (
     MixingMeasure,
@@ -571,6 +576,42 @@ class TestLeastMatchings:
         singles = [least_matchings(cost) for cost in costs]
         assert values.tolist() == [float(v) for v, _ in singles]
         assert perms.tolist() == [p.tolist() for _, p in singles]
+
+    def test_a_stack_scans_within_a_bounded_memory(self):
+        # Scanned at once, 8,000 costs at k = 7 gather 8,000 * 7 * 7! floats,
+        # 2.3 GB, several times the limit.
+        script = textwrap.dedent(
+            """
+            import resource
+            limit = 512 * 2**20
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+            import time
+            import numpy as np
+            from mixlab import measures
+            costs = np.random.default_rng(41).random((8000, 7, 7))
+            start = time.perf_counter()
+            values, perms = measures.least_matchings(costs)
+            seconds = time.perf_counter() - start
+            measures.SCAN_BLOCK_ENTRIES = 1
+            one_values, one_perms = measures.least_matchings(costs)
+            same = np.array_equal(values, one_values) and np.array_equal(perms, one_perms)
+            print(seconds, same, values.shape, perms.shape)
+            """
+        )
+        src = os.path.dirname(os.path.dirname(mixlab.__file__))
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        seconds, same, shapes = proc.stdout.split(maxsplit=2)
+        assert float(seconds) < 5.0
+        assert same == "True"
+        assert shapes.split() == ["(8000,)", "(8000,", "7)"]
 
 
 class TestCanonicalize:

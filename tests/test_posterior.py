@@ -888,6 +888,23 @@ class TestPosteriorErrorSummary:
         monkeypatch.setattr(posterior, "MATCHING_BLOCK_ENTRIES", 1)
         assert posterior_error_summary(chain, G0, 4.0) == whole
 
+    @pytest.mark.parametrize("k", [2, 3, 7, 8])
+    def test_each_draws_D_N_is_its_distance_DN(self, monkeypatch, k):
+        rng = np.random.default_rng(31)
+        prior = PriorSpec(BERN, np.array([[0.05, 0.95]]))
+        G0 = canonicalize(prior_sample(prior, k, rng))
+        draws = [canonicalize(prior_sample(prior, k, rng)) for _ in range(40)]
+        errors, matched = posterior._matched_errors, []
+
+        def spy(*args):
+            matched.append(errors(*args))
+            return matched[-1]
+
+        monkeypatch.setattr(posterior, "_matched_errors", spy)
+        posterior_error_summary(chain_of(draws), G0, 3.7)
+        d_mix = matched[0][0]
+        assert d_mix.tolist() == [distance_DN(G, G0, 3.7) for G in draws]
+
     @pytest.mark.parametrize("k", [3, 7, 8])
     def test_component_errors_come_from_one_matching(self, k):
         from mixlab.measures import optimal_matching

@@ -198,6 +198,12 @@ class TestSampleDataset:
         with pytest.raises(InvalidParameter, match=r"data\.jsonl, line 2\b"):
             ExchangeableDataset.from_jsonl(path)
 
+    def test_jsonl_without_sequences_names_the_path(self, tmp_path):
+        path = tmp_path / "blank.jsonl"
+        path.write_text("\n  \n")
+        with pytest.raises(InvalidParameter, match=r"blank\.jsonl: dataset needs"):
+            ExchangeableDataset.from_jsonl(path)
+
     def test_empty_sequence_rejected(self):
         with pytest.raises(InvalidParameter):
             ExchangeableDataset(sequences=[[]])
